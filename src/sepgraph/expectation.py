@@ -1,23 +1,40 @@
 """The canonical conditional expectation onto the span of vertex projections.
 
-On a weakly reduced word the expectation is a rational multiple of the source
-vertex projection.  The recursion: free-group-style cleanup first (``e* e``
-drops, ``e* f`` in one cell kills, ``e e*`` drops for singleton cells); a word
-whose free label is nontrivial has expectation zero; otherwise every ``e e*``
-occurrence is expanded simultaneously through
-``S_e S_e* = (1/|X|) P_v + (S_e S_e* - (1/|X|) P_v)``
-and the term keeping every kernel factor is dropped (products of kernel
-elements from consecutively distinct cells have expectation zero).  All
-remaining terms are strictly shorter, so the recursion terminates.
+On a composable word w the expectation is ``N(w) P_{s(w)}`` for a rational
+N(w).  A word is first weakly reduced with the choice-independent rules
+(``e* e`` drops, ``e* f`` with ``e != f`` in one cell kills, ``e e*`` drops for
+a singleton cell); a word whose free label is nontrivial has N = 0.
+Otherwise every ``e e*`` occurrence is split as
+``S_e S_e* = (1/|X|) P_v + (S_e S_e* - (1/|X|) P_v)`` with X the cell of e.
+Products of kernel pieces from consecutively distinct cells have expectation
+zero, so the term keeping every kernel piece drops and
 
-Expanding one occurrence at a time is not sound: the cross terms between
-occurrences need not vanish, which is why the subset expansion below runs over
-all occurrences at once.
+    N(w) = sum over nonempty sets D of occurrences deleted from w of
+           (-1)^(|D|+1) / prod_{e e* in D} |X_e| * N(w without D).
+
+All occurrences are expanded at once: the cross terms between occurrences need
+not vanish, so expanding one occurrence at a time is not sound.
+
+The sum is not enumerated set by set.  N of a shortened word depends only on
+its weak reduction, and weak reduction is a left-to-right stack fold whose
+rules fire only at the junction with the next letter (:func:`_junction`).  So
+the word is walked once, carrying the weakly reduced prefixes of the choices
+that deleted some occurrence so far, each holding the summed coefficient of
+every choice that leads to it; choices with equal prefixes merge.  At an
+occurrence each prefix branches into keeping the pair and deleting it
+(coefficient times ``-1/|X|``), and the choice that has kept every pair so far
+(the word's own prefix) adds its deletion.  The 2^t choices for t occurrences
+collapse onto far fewer prefixes wherever deletions let neighbouring letters
+cancel, as on the alternating products ``(p q)^k`` of projections from two
+cells; each final prefix recurses on a strictly shorter word, memoized per
+context.  Where deletions expose no cancellation (blocks ``x (b b*) x*`` with
+x alternating between two cells) the prefixes stay distinct, and the walk is
+exponential in t like the expansion it replaces, only with a smaller base.
 
 For an ordinary (trivially separated) row-finite graph the expectation has the
 closed form ``n_mu P_{s(mu)}`` with ``n_mu`` the inverse product of the
 out-degrees along the path; :func:`phi_ordinary` computes that directly and
-serves as an independent oracle for the recursive implementation.
+serves as an independent oracle for the walk.
 """
 
 from __future__ import annotations
@@ -38,31 +55,93 @@ from .algebra import (
 from .graphs import GraphError, GraphPath, SeparatedGraph, SignedEdge
 
 
+_APPEND, _CANCEL, _KILL = range(3)
+
+
+def _junction(graph: SeparatedGraph, a: SignedEdge, b: SignedEdge) -> int:
+    """The weak rule for the adjacent letters ``a b``.
+
+    ``e* e`` cancels, ``e* f`` for distinct edges of one cell kills, and
+    ``e e*`` cancels when the cell of ``e`` is a singleton; otherwise ``b`` is
+    appended.
+    """
+    if a.star and not b.star:
+        if graph.cell_of(a.edge) == graph.cell_of(b.edge):
+            return _CANCEL if a.edge == b.edge else _KILL
+    elif not a.star and b.star and a.edge == b.edge:
+        if len(graph.cell_edges(*graph.cell_of(a.edge))) == 1:
+            return _CANCEL
+    return _APPEND
+
+
+class _Prefixes:
+    """The weakly reduced prefixes met while reading one word, hash-consed.
+
+    Letters are coded as small ints.  A prefix is a node: node 0 is the empty
+    prefix and every other node is its parent followed by one letter.  A weak
+    rule only ever fires at the junction with the new letter, so pushing a
+    letter is O(1), where a tuple prefix would be copied and rehashed.
+    """
+
+    def __init__(self, graph: SeparatedGraph, steps: Sequence[SignedEdge]):
+        self.graph = graph
+        index = {}  # keyed by plain tuples, which hash faster than SignedEdge
+        self.codes = [index.setdefault((s.edge, s.star), len(index)) for s in steps]
+        self.letters = list({code: s for code, s in zip(self.codes, steps)}.values())
+        self._parent = [0]
+        self._last = [None]
+        self._child = {}
+        self._rule = {}
+
+    def push(self, node: int, code: int) -> Optional[int]:
+        """The prefix followed by one letter; ``None`` means zero."""
+        top = self._last[node]
+        if top is not None:
+            rule = self._rule.get((top, code))
+            if rule is None:
+                rule = _junction(self.graph, self.letters[top], self.letters[code])
+                self._rule[top, code] = rule
+            if rule == _CANCEL:
+                return self._parent[node]
+            if rule == _KILL:
+                return None
+        child = self._child.get((node, code))
+        if child is None:
+            child = self._child[node, code] = len(self._last)
+            self._parent.append(node)
+            self._last.append(code)
+        return child
+
+    def extend(self, node: int, codes: Sequence[int]) -> Optional[int]:
+        for code in codes:
+            node = self.push(node, code)
+            if node is None:
+                return None
+        return node
+
+    def word(self, node: int) -> tuple:
+        letters = []
+        while node:
+            letters.append(self.letters[self._last[node]])
+            node = self._parent[node]
+        return tuple(reversed(letters))
+
+
 def weakly_reduce(graph: SeparatedGraph, steps: Sequence[SignedEdge]) -> Optional[tuple]:
     """Normalize with the choice-independent rules only; ``None`` means zero.
 
-    Drops ``e* e`` always, drops ``e e*`` when the cell of ``e`` is a
-    singleton, and kills ``e* f`` for distinct edges of one cell.  The result
-    is a weakly reduced word (or the empty tuple for a vertex).
+    The result is a weakly reduced word (or the empty tuple for a vertex).
     """
-    work = list(steps)
-    i = 0
-    while i + 1 < len(work):
-        a, b = work[i], work[i + 1]
-        if a.star and not b.star and graph.cell_of(a.edge) == graph.cell_of(b.edge):
-            if a.edge != b.edge:
-                return None
-            del work[i : i + 2]
-            i = max(i - 1, 0)
-            continue
-        if not a.star and b.star and a.edge == b.edge:
-            v, k = graph.cell_of(a.edge)
-            if len(graph.cell_edges(v, k)) == 1:
-                del work[i : i + 2]
-                i = max(i - 1, 0)
-                continue
-        i += 1
-    return tuple(work)
+    stack = []
+    for step in steps:
+        rule = _junction(graph, stack[-1], step) if stack else _APPEND
+        if rule == _KILL:
+            return None
+        if rule == _CANCEL:
+            stack.pop()
+        else:
+            stack.append(step)
+    return tuple(stack)
 
 
 def _free_label_is_trivial(steps: Sequence[SignedEdge]) -> bool:
@@ -92,40 +171,59 @@ def _n_value(ctx: LeavittContext, steps: tuple) -> Fraction:
     return _n_reduced(ctx, reduced)
 
 
+def _add(states: dict, node: int, coeff: int) -> None:
+    states[node] = states.get(node, 0) + coeff
+
+
 def _n_reduced(ctx: LeavittContext, steps: tuple) -> Fraction:
+    """N of a weakly reduced word, by the merged left-to-right walk."""
     if not steps:
         return Fraction(1)
     cached = ctx.expect_cache.get(steps)
     if cached is not None:
         return cached
-    if not _free_label_is_trivial(steps):
-        ctx.expect_cache[steps] = Fraction(0)
-        return Fraction(0)
-    occurrences = _pair_occurrences(steps)
-    t = len(occurrences)
-    if t == 0:
-        # alternating product of cell-kernel pieces: expectation zero
-        ctx.expect_cache[steps] = Fraction(0)
-        return Fraction(0)
-    sizes = []
-    for i in occurrences:
-        v, k = ctx.cell_of(steps[i].edge)
-        sizes.append(len(ctx.cell_edges(v, k)))
+    # a nontrivial free label gives zero; so does a word without an e e* pair,
+    # an alternating product of cell-kernel pieces
+    pairs = set(_pair_occurrences(steps)) if _free_label_is_trivial(steps) else set()
     total = Fraction(0)
-    # proper subsets of the occurrence set: kept occurrences stay as e e*,
-    # the others are deleted; sign (-1)^(deleted+1), weight 1/|X| per deletion
-    for mask in range((1 << t) - 1):
-        deleted = [j for j in range(t) if not (mask >> j) & 1]
-        weight = Fraction(1)
-        for j in deleted:
-            weight /= sizes[j]
-        drop = set()
-        for j in deleted:
-            drop.add(occurrences[j])
-            drop.add(occurrences[j] + 1)
-        shorter = tuple(s for idx, s in enumerate(steps) if idx not in drop)
-        sign = 1 if len(deleted) % 2 == 1 else -1
-        total += sign * weight * _n_value(ctx, shorter)
+    if pairs:
+        graph = ctx.graph
+        prefixes = _Prefixes(graph, steps)
+        codes = prefixes.codes
+        # the choice that keeps every pair reads the word as it stands, which
+        # is weakly reduced: its node is that of steps[:seen]; it only seeds the
+        # deletions, since its own term drops
+        original = seen = 0
+        # every other prefix node carries the summed coefficient prod -1/|X|
+        # over its deleted pairs, kept as an int scaled by the product of the
+        # cell sizes read so far: a kept pair multiplies it by |X|, a deleted
+        # one by -1
+        states = {}
+        scale = 1
+        i = min(pairs)
+        while i < len(codes):
+            pair = i in pairs
+            chunk = codes[i : i + 2] if pair else codes[i : i + 1]
+            size = len(graph.cell_edges(*graph.cell_of(steps[i].edge))) if pair else 1
+            following = {}
+            for node, coeff in states.items():
+                kept = prefixes.extend(node, chunk)
+                if kept is not None:
+                    _add(following, kept, coeff * size)
+                if pair:
+                    _add(following, node, -coeff)
+            if pair:
+                original = prefixes.extend(original, codes[seen:i])
+                seen = i
+                _add(following, original, -scale)
+            states = following
+            scale *= size
+            i += len(chunk)
+        # the expansion's sign is (-1)^(d+1) for d deleted pairs
+        for node, coeff in states.items():
+            if coeff:
+                total -= coeff * _n_reduced(ctx, prefixes.word(node))
+        total /= scale
     ctx.expect_cache[steps] = total
     return total
 

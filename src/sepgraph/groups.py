@@ -197,6 +197,10 @@ class CyclicGroup(Group):
 
     is_finite = True
 
+    def __post_init__(self):
+        if not isinstance(self.modulus, int) or self.modulus <= 0:
+            raise GroupError(f"a cyclic group needs a positive modulus, got {self.modulus!r}")
+
     def _identity(self):
         return 0
 
@@ -383,7 +387,17 @@ def labeling_to_json(labeling: Labeling) -> dict:
 
 
 def labeling_from_json(group: Group, data: dict) -> Labeling:
-    return Labeling(group, {eid: group.from_literal(lit) for eid, lit in data.items()})
+    if not isinstance(data, dict):
+        raise GroupError("a labeling must be a JSON object mapping edge ids to elements")
+    by_edge = {}
+    for eid, lit in data.items():
+        try:
+            by_edge[eid] = group.from_literal(lit)
+        except (TypeError, ValueError):
+            raise GroupError(
+                f"label of edge {eid!r} is not an element of {group}: {lit!r}"
+            ) from None
+    return Labeling(group, by_edge)
 
 
 # -- actions ------------------------------------------------------------------

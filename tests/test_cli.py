@@ -204,6 +204,21 @@ def test_input_errors_exit_2(capsys, a2_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cayley", "--group", "zmod:0", "--generators", "1"],
+        ["cayley", "--group", "zmod:-3", "--generators", "1"],
+        ["skew", "--graph", "{a2}", "--label", "{a2}", "--group", "zmod:2"],
+    ],
+)
+def test_bad_group_or_labeling_exits_2(capsys, a2_file, argv):
+    code, out, err = run(capsys, *[arg.format(a2=a2_file) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_outputs_are_deterministic(capsys, a2_file):
     _, first, _ = run(capsys, "cayley", "--group", "zmod:3", "--generators", "1,2")
     _, second, _ = run(capsys, "cayley", "--group", "zmod:3", "--generators", "1,2")

@@ -156,6 +156,28 @@ def test_missing_label_raises():
         label_of_path(labeling, (SignedEdge("f"),))
 
 
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_cyclic_group_needs_a_positive_modulus(modulus):
+    with pytest.raises(GroupError, match="positive modulus"):
+        CyclicGroup(modulus)
+    with pytest.raises(GroupError, match="positive modulus"):
+        group_from_json({"type": "zmod", "n": modulus})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1, 2],
+        {"e": [1, 2]},
+        {"e": {"n": 1}},
+        {"vertices": ["v"], "edges": [{"id": "e", "src": "v", "dst": "v"}]},
+    ],
+)
+def test_malformed_labeling_json_is_a_group_error(data):
+    with pytest.raises(GroupError):
+        labeling_from_json(Z3, data)
+
+
 # -- actions ---------------------------------------------------------------------
 
 
