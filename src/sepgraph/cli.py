@@ -27,6 +27,7 @@ from .graphs import (
     graph_from_json,
     graph_to_json,
     quotient_graph,
+    read_graph_json,
     skew_product,
     validate,
 )
@@ -96,6 +97,13 @@ def _context(args) -> LeavittContext:
     choice = None
     if getattr(args, "ex_choice", None):
         raw = _load_json(args.ex_choice)
+        if not isinstance(raw, dict) or not all(
+            isinstance(picks, list) and all(isinstance(eid, str) for eid in picks)
+            for picks in raw.values()
+        ):
+            raise InputError(
+                f"{args.ex_choice}: --ex-choice must map each vertex to a list of edge ids"
+            )
         choice = {}
         for v, picks in raw.items():
             for i, eid in enumerate(picks):
@@ -120,18 +128,10 @@ def _split_generators(text: str):
 
 
 def cmd_validate(args) -> int:
-    from .graphs import Edge, SeparatedGraph
-
-    graph_data = _load_json(args.graph)
-    try:
-        graph = SeparatedGraph(
-            graph_data.get("vertices", []),
-            [Edge(e["id"], e["src"], e["dst"]) for e in graph_data.get("edges", [])],
-            graph_data.get("separation", {}),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed graph JSON: {exc}") from None
-    problems = validate(graph)
+    data = _load_json(args.graph)
+    if isinstance(data, dict):  # missing vertices or edges read as none
+        data = {"vertices": [], "edges": [], **data}
+    problems = validate(read_graph_json(data))
     _dump({"valid": not problems, "violations": problems})
     return 0 if not problems else 1
 

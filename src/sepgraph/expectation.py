@@ -85,8 +85,8 @@ class _Prefixes:
 
     def __init__(self, graph: SeparatedGraph, steps: Sequence[SignedEdge]):
         self.graph = graph
-        index = {}  # keyed by plain tuples, which hash faster than SignedEdge
-        self.codes = [index.setdefault((s.edge, s.star), len(index)) for s in steps]
+        index = {}
+        self.codes = [index.setdefault(s, len(index)) for s in steps]
         self.letters = list({code: s for code, s in zip(self.codes, steps)}.values())
         self._parent = [0]
         self._last = [None]

@@ -10,7 +10,7 @@ code relies on that stability to make representative choices deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import GraphAction, GroupElement, Labeling
@@ -27,12 +27,12 @@ class Edge:
     dst: str
 
 
-@dataclass(frozen=True)
-class SignedEdge:
+class SignedEdge(NamedTuple):
     """An edge of the extended graph: ``e`` itself, or its formal reverse ``e*``.
 
     The reverse travels the edge backwards: its source is the range of ``e``
-    and its range is the source of ``e``.
+    and its range is the source of ``e``.  A plain tuple underneath, so words
+    (tuples of steps) hash and compare without a Python-level call per step.
     """
 
     edge: str
@@ -477,14 +477,42 @@ def graph_to_json(graph: SeparatedGraph) -> dict:
     }
 
 
-def graph_from_json(data: dict) -> SeparatedGraph:
+def graph_from_json(data) -> SeparatedGraph:
     """Build a graph from its JSON form, rejecting anything invalid."""
+    graph = read_graph_json(data)
+    graph.require_valid()
+    return graph
+
+
+def read_graph_json(data) -> SeparatedGraph:
+    """Build a graph from its JSON form, checking only the JSON types.
+
+    Ids must be strings and every collection a JSON list (the separation an
+    object), so that no other value is taken apart as one: a string of
+    vertices would otherwise read as its characters.  :func:`validate`
+    reports every broken graph invariant of the result.
+    """
+    if not isinstance(data, dict):
+        raise GraphError(f"malformed graph JSON: expected an object, got {type(data).__name__}")
     try:
         vertices = data["vertices"]
         edges = [Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]]
         separation = data.get("separation", {})
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
-    graph = SeparatedGraph(vertices, edges, separation)
-    graph.require_valid()
-    return graph
+    _require_strings(vertices, "vertices")
+    for e in edges:
+        _require_strings([e.id, e.src, e.dst], f"edge {e.id!r}")
+    if not isinstance(separation, dict):
+        raise GraphError("malformed graph JSON: separation must be an object")
+    for v, cells in separation.items():
+        if not isinstance(cells, list):
+            raise GraphError(f"malformed graph JSON: separation at {v!r} must be a list of cells")
+        for cell in cells:
+            _require_strings(cell, f"separation cell at {v!r}")
+    return SeparatedGraph(vertices, edges, separation)
+
+
+def _require_strings(values, what: str) -> None:
+    if not isinstance(values, list) or not all(isinstance(x, str) for x in values):
+        raise GraphError(f"malformed graph JSON: {what} must be a list of strings")

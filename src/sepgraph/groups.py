@@ -497,7 +497,7 @@ def action_from_json(data: dict) -> GraphAction:
         table = {}
         for key, maps in data["table"].items():
             table[group.parse(key)] = GraphMorphism(dict(maps["vertices"]), dict(maps["edges"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a table that is no object
         raise GroupError(f"malformed action JSON: {exc}") from None
     return GraphAction(group, table)
 

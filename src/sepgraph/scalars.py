@@ -2,64 +2,119 @@
 
 Every value the algebra operations produce lies in Q(i); keeping the scalars
 exact means all comparisons downstream are plain equality.
+
+A value is stored as three Python ints ``(a, b, d)`` meaning ``(a + b·i)/d``,
+in canonical form: ``d > 0`` and ``gcd(a, b, d) = 1``.  Equal values therefore
+have equal fields, so equality and hashing compare ints, and each arithmetic
+result is normalised by a single ``math.gcd`` (none at all when ``d == 1``,
+which is the common case: the rewriting coefficients are ±1).  The real and
+imaginary parts are available as ``Fraction`` through ``re`` and ``im``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 class ScalarError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    re: Fraction
-    im: Fraction
+    """``(a + b·i)/d`` with ``d > 0`` and ``gcd(a, b, d) = 1``."""
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re, im):
+        re, im = Fraction(re), Fraction(im)
+        q, s = re.denominator, im.denominator
+        d = q * s // gcd(q, s)
+        # over the lcm of two reduced denominators the triple is already coprime
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
     @staticmethod
     def of(re=0, im=0) -> "GaussianRational":
-        return GaussianRational(Fraction(re), Fraction(im))
+        return GaussianRational(re, im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _canonical(self._a + other._a, self._b + other._b, d)
+        return _canonical(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, f = self._d, other._d
+        if d == f:
+            return _canonical(self._a - other._a, self._b - other._b, d)
+        return _canonical(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return _canonical(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
+        if type(other) is GaussianRational:
+            a, b, c, e = self._a, self._b, other._a, other._b
+            return _canonical(a * c - b * e, a * e + b * c, self._d * other._d)
+        if isinstance(other, int):
+            return _canonical(self._a * other, self._b * other, self._d)
+        if isinstance(other, Fraction):
+            n = other.numerator
+            return _canonical(self._a * n, self._b * n, self._d * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _canonical(self._a, -self._b, self._d)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not GaussianRational:
+            return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        imag = "i" if abs(self.im) == 1 else f"{abs(self.im)}i"
-        if not self.re:
-            return imag if self.im > 0 else "-" + imag
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{imag}"
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+        if not re:
+            return imag if im > 0 else "-" + imag
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{imag}"
 
     __repr__ = __str__
+
+
+def _canonical(a: int, b: int, d: int) -> GaussianRational:
+    """``(a + b·i)/d`` for ``d > 0``, brought to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = object.__new__(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 ZERO = GaussianRational.of(0)
@@ -78,14 +133,15 @@ def _parse_imag(token: str) -> Fraction:
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse literals like ``3/2``, ``-i``, ``1/2i`` or ``3/2-1/2i``."""
+    """Parse literals like ``3/2``, ``-i``, ``1/2i``, ``3/2-1/2i`` or ``2-1e-5i``."""
     s = text.strip()
     if not s:
         raise ScalarError("empty scalar literal")
-    # split at a +/- that separates the real from the imaginary part
+    # split at a +/- that separates the real from the imaginary part; a sign
+    # after an exponent marker belongs to the exponent
     split = None
     for k in range(1, len(s)):
-        if s[k] in "+-" and s[k - 1] not in "+-/":
+        if s[k] in "+-" and s[k - 1] not in "+-/eE":
             split = k
     try:
         if split is not None and s.endswith("i"):

@@ -223,3 +223,28 @@ def test_outputs_are_deterministic(capsys, a2_file):
     _, first, _ = run(capsys, "cayley", "--group", "zmod:3", "--generators", "1,2")
     _, second, _ = run(capsys, "cayley", "--group", "zmod:3", "--generators", "1,2")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "files,argv",
+    [
+        ({"choice": [1]}, ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"]),
+        ({"g": [A2]}, ["validate", "--graph", "{g}"]),
+        ({"g": {"vertices": "vw", "edges": []}}, ["validate", "--graph", "{g}"]),
+        ({"g": {"vertices": "vw", "edges": []}}, ["reduce", "--graph", "{g}", "@v"]),
+        ({"g": {**A2, "separation": {"v": ["a1", "a2"]}}}, ["validate", "--graph", "{g}"]),
+        ({"g": {**A2, "vertices": [["v"]]}}, ["star", "--graph", "{g}", "a1"]),
+        ({"act": {"group": {"type": "zmod", "n": 2}, "table": []}},
+         ["quotient", "--graph", "{a2}", "--action", "{act}"]),
+    ],
+)
+def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
+    paths = {"a2": a2_file}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        paths[name] = str(path)
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

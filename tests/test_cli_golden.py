@@ -1,0 +1,122 @@
+"""Golden outputs of every non-``selftest`` subcommand.
+
+Each case runs ``cli.main`` in-process from ``tests/golden`` (the input files
+live there, so paths in messages are the same wherever the checkout is) and
+must reproduce the recorded stdout, stderr and exit code byte for byte.
+
+The fixture ``tests/golden/cli_outputs.json`` was recorded from the code
+before Q(i) scalars became integer-coded; re-record it only for an intended
+change of output:
+
+    PYTHONPATH=src python tests/test_cli_golden.py --record
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from sepgraph.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+FIXTURE = GOLDEN / "cli_outputs.json"
+
+CASES = [
+    ["validate", "--graph", "a2.json"],
+    ["validate", "--graph", "fig5.json"],
+    ["validate", "--graph", "invalid.json"],
+    ["skew", "--graph", "a2.json", "--group", "zmod:3", "--label", "label_a2.json"],
+    ["skew", "--graph", "fig5.json", "--group", "zmod:2", "--label", "label_fig5.json"],
+    ["quotient", "--graph", "skew_a2_z2.json", "--action", "action_skew_a2_z2.json"],
+    ["quotient", "--graph", "three.json", "--action", "action_three.json"],
+    ["gross-tucker", "--graph", "skew_a2_z2.json", "--action", "action_skew_a2_z2.json"],
+    ["gross-tucker", "--graph", "three.json", "--action", "action_three.json"],
+    ["cayley", "--group", "zmod:3", "--generators", "1"],
+    ["cayley", "--group", "zmod:4", "--generators", "1,2"],
+    ["cayley", "--group", "zmod:0", "--generators", "1"],
+    ["reduce", "--graph", "three.json", "c1 c1*"],
+    ["reduce", "--graph", "three.json", "3/2+1/2i * c1 c1* c2 + -2/3i * d1 d1* - 5/7 * @v"],
+    ["reduce", "--graph", "three.json", "--ex-choice", "choice_three.json", "1/3-1/4i * c1 c1* c1 c1*"],
+    ["reduce", "--graph", "three.json", "c2* c1 + c3* c3 d1"],
+    ["reduce", "--graph", "three.json", "-9/4+2/7i * c1 c1* c1 c1* c2 + 1/6i * c2 c1 c1* d1"],
+    ["reduce", "--graph", "pair.json", "--ex-choice", "choice_pair.json", "-i * e1 e1* e2 e2*"],
+    ["reduce", "--graph", "a2.json", "0"],
+    ["reduce", "--graph", "a2.json", "nonsense_edge"],
+    ["reduce", "--graph", "a2.json", "1//2 * a1"],
+    ["reduce", "--graph", "missing.json", "a1"],
+    ["mul", "--graph", "pair.json", "1/2+i * e1 e1* + 2 * e2", "3-1/3i * e1 e1* - i * e2*"],
+    ["mul", "--graph", "three.json", "2/5+7/3i * c1 + -1 * c2* + 3i * d1", "c1* c1 c1* + 1/2 * c3 - 4/9-2i * @v"],
+    ["mul", "--graph", "fig5.json", "be2 be2*", "al2 al2* + -3/2i * al1 al1*"],
+    ["mul", "--graph", "fig5.json", "be2", "al2"],
+    ["star", "--graph", "a2.json", "3/2-1/2i * a1 a2* + 7 * @v + -i * a2 a2 a1*"],
+    ["star", "--graph", "three.json", "5/6+1/6i * c2 c3* d1 + 2i * d1* + -1/4 * c1 c1 c2*"],
+    ["expect", "--graph", "fig5.json", "1/3+2/3i * be2 be2* al2 al2* + -1/2i * be1 be1*"],
+    ["expect", "--graph", "fig5.json", "be2 be2* al2 al2* be2 be2* al2 al2* be2 be2* al2 al2*"],
+    ["expect", "--graph", "three.json", "7/2-3i * c1 c1* c2 c2* + 1/5i * c3 c3* d1 d1* + 2 * @w"],
+    ["expect", "--graph", "a2.json", "a1 a2*"],
+    ["expect", "--graph", "pair.json", "2/3-5/2i * e2 e2* e1 e1* + -i * e1 e2 e2* e1*"],
+    ["grade", "--graph", "a2.json", "--group", "zmod:3", "--label", "label_a2.json",
+     "1/2i * a1 a2* + 3 * a1 a1 + -i * @v + 2/3-5/7i * a2 a2"],
+    ["grade", "--graph", "a2.json", "--group", "free:a,b", "--label", "label_free.json",
+     "4-i * a1 a2* + 1/9 * a2 a1* a1 + -7/8i * a1 a1"],
+    ["grade", "--graph", "three.json", "--group", "zmod:3", "--label", "label_three.json",
+     "-2/3+1/3i * c1 c2* + c3 c3* + 5i * c1 d1"],
+    ["act", "--graph", "pair.json", "--action", "action_pair.json", "1", "2/3-i * e1 e2* + 1/5 * e1 e1*"],
+    ["act", "--graph", "three.json", "--action", "action_three.json", "2",
+     "-3/4+5/6i * c1 c1* + 11 * c2 c3* d1 + i * @v"],
+    ["act", "--graph", "three.json", "--action", "action_three.json", "1", "1/2 * c3 c3* c3"],
+    ["verify-crossed-iso", "--graph", "a2.json", "--group", "zmod:2", "--label", "label_a2_z2.json",
+     "--samples", "12", "--seed", "3"],
+    ["verify-crossed-iso", "--graph", "three.json", "--group", "zmod:3", "--label", "label_three.json",
+     "--samples", "6", "--seed", "5"],
+]
+
+
+def run_case(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _key(argv) -> str:
+    return json.dumps(argv)
+
+
+def test_fixture_covers_every_case():
+    recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(_key(argv) for argv in CASES)
+    commands = {argv[0] for argv in CASES}
+    assert commands == {
+        "validate", "skew", "quotient", "gross-tucker", "cayley", "reduce",
+        "mul", "star", "expect", "grade", "act", "verify-crossed-iso",
+    }
+
+
+@pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv)[:60])
+def test_output_is_byte_identical(argv, monkeypatch):
+    recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))[_key(argv)]
+    monkeypatch.chdir(GOLDEN)
+    assert run_case(argv) == recorded
+
+
+def record() -> None:
+    here = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        outputs = {_key(argv): run_case(argv) for argv in CASES}
+    finally:
+        os.chdir(here)
+    FIXTURE.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record()

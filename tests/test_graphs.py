@@ -106,6 +106,17 @@ def test_star_steps_reverse_endpoints():
     assert TWO_CYCLE.range(star) == "v"
 
 
+def test_signed_edge_value_semantics():
+    e, e_star = SignedEdge("a"), SignedEdge("a", True)
+    assert e.star is False and e == SignedEdge("a", False)
+    assert e != e_star and e != SignedEdge("b")
+    assert hash(e) == hash(SignedEdge("a", False))
+    assert len({e, e_star, SignedEdge("a"), SignedEdge("a", True)}) == 2
+    assert e.reverse() == e_star and e_star.reverse() == e
+    assert e.literal() == "a" and e_star.literal() == "a*"
+    assert {(e, e_star): 1}[(SignedEdge("a"), SignedEdge("a", True))] == 1
+
+
 def test_malformed_path_raises():
     with pytest.raises(GraphError):
         check_path(TWO_CYCLE, GraphPath("v", (SignedEdge("a"), SignedEdge("a"))))
