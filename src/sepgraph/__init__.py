@@ -50,12 +50,8 @@ from .groups import (
     cayley_separated_graph,
     check_action,
     free_labeling,
-    g_id,
-    g_inv,
-    g_mul,
     gross_tucker,
     is_free,
-    label_of_path,
     translation_action,
 )
 from .algebra import (

@@ -58,6 +58,12 @@ class NormalWord:
     def is_vertex(self) -> bool:
         return self.vertex is not None
 
+    def adjoint(self) -> "NormalWord":
+        """The word reversed with orientations flipped; a vertex is its own."""
+        if self.is_vertex:
+            return self
+        return NormalWord.of_steps(tuple(s.reverse() for s in reversed(self.steps)))
+
     def literal(self) -> str:
         if self.is_vertex:
             return f"@{self.vertex}"
@@ -93,16 +99,7 @@ class LeavittContext:
         self.expect_cache = {}
 
     def same_context(self, other: "LeavittContext") -> bool:
-        return self.graph == other.graph and self.ex_choice == other.ex_choice
-
-    def is_chosen(self, edge_id: str) -> bool:
-        return edge_id in self._chosen
-
-    def cell_of(self, edge_id: str):
-        return self.graph.cell_of(edge_id)
-
-    def cell_edges(self, v: str, index: int):
-        return self.graph.cell_edges(v, index)
+        return self is other or (self.graph == other.graph and self.ex_choice == other.ex_choice)
 
     def chosen(self, v: str, index: int) -> str:
         return self.ex_choice[(v, index)]
@@ -119,8 +116,8 @@ def default_ex_choice(graph: SeparatedGraph) -> dict:
     }
 
 
-def _require_same_context(x: "AlgebraElement", y: "AlgebraElement") -> None:
-    if not x.ctx.same_context(y.ctx):
+def _require_context(ctx: LeavittContext, x: "AlgebraElement") -> None:
+    if not ctx.same_context(x.ctx):
         raise AlgebraError("elements live over different graph/choice contexts")
 
 
@@ -131,9 +128,9 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     for a, b in zip(steps, steps[1:]):
         if graph.range(a) != graph.source(b):
             return False
-        if a.star and not b.star and ctx.cell_of(a.edge) == ctx.cell_of(b.edge):
+        if a.star and not b.star and graph.cell_of(a.edge) == graph.cell_of(b.edge):
             return False
-        if not a.star and b.star and a.edge == b.edge and ctx.is_chosen(a.edge):
+        if not a.star and b.star and a.edge == b.edge and a.edge in ctx._chosen:
             return False
     return True
 
@@ -159,20 +156,17 @@ def _reduce(ctx: LeavittContext, steps: tuple, strategy: str) -> dict:
     for i in indices:
         a, b = steps[i], steps[i + 1]
         if a.star and not b.star:
-            if ctx.cell_of(a.edge) != ctx.cell_of(b.edge):
+            if graph.cell_of(a.edge) != graph.cell_of(b.edge):
                 continue
             if a.edge == b.edge:
                 result = _reduce_splice(ctx, steps, steps[:i] + steps[i + 2 :], strategy)
             else:
                 result = {}
             break
-        if (not a.star) and b.star and a.edge == b.edge and ctx.is_chosen(a.edge):
-            v, k = ctx.cell_of(a.edge)
-            acc = {}
-            dropped = _reduce_splice(ctx, steps, steps[:i] + steps[i + 2 :], strategy)
-            for word, sign in dropped.items():
-                acc[word] = acc.get(word, 0) + sign
-            for other in ctx.cell_edges(v, k):
+        if (not a.star) and b.star and a.edge == b.edge and a.edge in ctx._chosen:
+            v, k = graph.cell_of(a.edge)
+            acc = dict(_reduce_splice(ctx, steps, steps[:i] + steps[i + 2 :], strategy))
+            for other in graph.cell_edges(v, k):
                 if other == a.edge:
                     continue
                 branch = steps[:i] + (SignedEdge(other), SignedEdge(other, True)) + steps[i + 2 :]
@@ -222,6 +216,28 @@ def reduce_word(
     return AlgebraElement(ctx, terms)
 
 
+def accumulate(acc: dict, pairs) -> dict:
+    """Add (basis key, coefficient) pairs into ``acc`` in place; returns it.
+
+    The one linear-combination step of both element types.  Zero sums stay in
+    the dict; the element constructors drop them.
+    """
+    for key, c in pairs:
+        prev = acc.get(key)
+        acc[key] = c if prev is None else prev + c
+    return acc
+
+
+def sum_of(ctx: LeavittContext, elements) -> "AlgebraElement":
+    """The sum of elements over ``ctx`` in one pass, linear in the terms read;
+    a summand over another context raises :class:`AlgebraError` as ``+`` does."""
+    acc = {}
+    for x in elements:
+        _require_context(ctx, x)
+        accumulate(acc, x.terms.items())
+    return AlgebraElement(ctx, acc)
+
+
 class AlgebraElement:
     """A finite linear combination of normal words with Q(i) coefficients."""
 
@@ -243,11 +259,7 @@ class AlgebraElement:
         )
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_context(self, other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, scalars.ZERO) + c
-        return AlgebraElement(self.ctx, out)
+        return sum_of(self.ctx, (self, other))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -261,8 +273,10 @@ class AlgebraElement:
         return AlgebraElement(self.ctx, {w: c * factor for w, c in self.terms.items()})
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_context(self, other)
+        _require_context(self.ctx, other)
         ctx = self.ctx
+        # the hottest loop of every product, so accumulate() is written out
+        # here: no generator per term pair, and a +1 sign costs no multiply
         acc = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -274,15 +288,10 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         """The adjoint: words reversed with orientations flipped, coefficients
-        conjugated.  Normal words are closed under this, so no rewriting runs."""
-        out = {}
-        for w, c in self.terms.items():
-            if w.is_vertex:
-                out[w] = out.get(w, scalars.ZERO) + c.conjugate()
-            else:
-                flipped = NormalWord.of_steps(tuple(s.reverse() for s in reversed(w.steps)))
-                out[flipped] = out.get(flipped, scalars.ZERO) + c.conjugate()
-        return AlgebraElement(self.ctx, out)
+        conjugated.  Normal words are closed under this, so no rewriting runs;
+        reversal is injective on words, so no two terms meet."""
+        terms = {w.adjoint(): c.conjugate() for w, c in self.terms.items()}
+        return AlgebraElement(self.ctx, terms)
 
     def __repr__(self) -> str:
         return f"<{element_literal(self)}>"
@@ -326,13 +335,7 @@ def rebase(x: AlgebraElement, ctx: LeavittContext) -> AlgebraElement:
     """Re-express an element in the basis of another choice over the same graph."""
     if x.ctx.graph != ctx.graph:
         raise AlgebraError("rebase requires the same underlying graph")
-    out = zero(ctx)
-    for w, c in x.terms.items():
-        if w.is_vertex:
-            out = out + vertex_element(ctx, w.vertex).scale(c)
-        else:
-            out = out + reduce_word(ctx, w.steps, c)
-    return out
+    return sum_of(ctx, (reduce_word(ctx, w.steps, c, base=w.vertex) for w, c in x.terms.items()))
 
 
 # -- gradings ------------------------------------------------------------------
@@ -375,21 +378,21 @@ def induced_automorphism(
     and edge, then renormalize (the image of a chosen edge need not be chosen)."""
     f = action.morphism(g)
     ctx = x.ctx
-    out = zero(ctx)
+    images = []
     for w, c in x.terms.items():
         if w.is_vertex:
             try:
                 moved = f.vmap[w.vertex]
             except KeyError:
                 raise AlgebraError(f"action does not cover vertex {w.vertex!r}") from None
-            out = out + AlgebraElement(ctx, {NormalWord.of_vertex(moved): c})
+            images.append(AlgebraElement(ctx, {NormalWord.of_vertex(moved): c}))
         else:
             try:
                 steps = tuple(SignedEdge(f.emap[s.edge], s.star) for s in w.steps)
             except KeyError as exc:
                 raise AlgebraError(f"action does not cover edge {exc}") from None
-            out = out + reduce_word(ctx, steps, c)
-    return out
+            images.append(reduce_word(ctx, steps, c))
+    return sum_of(ctx, images)
 
 
 # -- literals -------------------------------------------------------------------
@@ -433,7 +436,7 @@ def parse_element(ctx: LeavittContext, text: str) -> AlgebraElement:
             signs.append(1 if tok == "+" else -1)
         else:
             terms[-1].append(tok)
-    total = zero(ctx)
+    values = []
     for sign, term in zip(signs, terms):
         if not term:
             raise AlgebraError(f"dangling sign in element literal {text!r}")
@@ -450,5 +453,5 @@ def parse_element(ctx: LeavittContext, text: str) -> AlgebraElement:
         for tok in term:
             factor = _parse_factor(ctx, tok)
             value = factor if value is None else value * factor
-        total = total + value.scale(coeff * sign)
-    return total
+        values.append(value.scale(coeff * sign))
+    return sum_of(ctx, values)

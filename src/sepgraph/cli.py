@@ -1,7 +1,8 @@
 """Command-line surface: file parsing, canonical output, verification reports.
 
 Exit codes: 0 on success, 1 when a verification fails (an invalid graph, a
-failed isomorphism report, a failed self test), 2 on an input error.  Output
+failed isomorphism report, a failed self test) or when the reader of stdout
+closes the pipe early (``| head``), 2 on an input error.  Output
 is canonical: JSON with sorted keys, elements in the sorted literal syntax,
 so identical inputs and seeds give byte-identical output.
 """
@@ -43,6 +44,7 @@ from .groups import (
     group_from_json,
     labeling_from_json,
     labeling_to_json,
+    split_top_level,
 )
 from .crossed import verify_iso
 from .scalars import ScalarError
@@ -111,22 +113,6 @@ def _context(args) -> LeavittContext:
     return LeavittContext(graph, choice)
 
 
-def _split_generators(text: str):
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def cmd_validate(args) -> int:
     data = _load_json(args.graph)
     if isinstance(data, dict):  # missing vertices or edges read as none
@@ -181,7 +167,8 @@ def cmd_gross_tucker(args) -> int:
 
 def cmd_cayley(args) -> int:
     group = _load_group(args.group)
-    generators = [group.parse(g) for g in _split_generators(args.generators)]
+    parts = [p.strip() for p in split_top_level(args.generators)]
+    generators = [group.parse(p) for p in parts if p]
     if not generators:
         raise InputError("cayley needs at least one generator")
     skew = cayley_separated_graph(group, generators)
@@ -364,7 +351,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here when the output was buffered
+        return code
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull so the interpreter's final flush
+        # stays silent too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (InputError, GraphError, GroupError, AlgebraError, ScalarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,12 +28,13 @@ from .algebra import (
     AlgebraError,
     LeavittContext,
     NormalWord,
+    accumulate,
     edge_element,
     from_word,
     induced_automorphism,
+    sum_of,
     vertex_element,
     word_degree,
-    zero,
 )
 from .graphs import SignedEdge, SkewProduct
 from .groups import GroupElement, GroupError, Labeling, translation_action
@@ -72,10 +73,8 @@ class CrossedElement:
 
     def __add__(self, other: "CrossedElement") -> "CrossedElement":
         _same_crossed_context(self, other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, scalars.ZERO) + c
-        return CrossedElement(self.ctx, self.labeling, out)
+        terms = accumulate(dict(self.terms), other.terms.items())
+        return CrossedElement(self.ctx, self.labeling, terms)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -107,11 +106,8 @@ def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
         for cw2, c2 in y.terms.items():
             if cw1.slot != word_degree(cw2.word, labeling) * cw2.slot:
                 continue
-            product = from_word(ctx, cw1.word) * from_word(ctx, cw2.word)
-            coeff = c1 * c2
-            for word, c in product.terms.items():
-                key = CrossedWord(word, cw2.slot)
-                acc[key] = acc.get(key, scalars.ZERO) + coeff * c
+            product = from_word(ctx, cw1.word, c1 * c2) * from_word(ctx, cw2.word)
+            accumulate(acc, ((CrossedWord(w, cw2.slot), c) for w, c in product.terms.items()))
     return CrossedElement(ctx, labeling, acc)
 
 
@@ -120,11 +116,9 @@ def crossed_star(x: CrossedElement) -> CrossedElement:
     ctx = x.ctx
     out = {}
     for cw, c in x.terms.items():
-        starred = from_word(ctx, cw.word).star()
+        starred = from_word(ctx, cw.word, c).star()
         slot = word_degree(cw.word, x.labeling) * cw.slot
-        for word, sc in starred.terms.items():
-            key = CrossedWord(word, slot)
-            out[key] = out.get(key, scalars.ZERO) + c.conjugate() * sc
+        accumulate(out, ((CrossedWord(w, slot), sc) for w, sc in starred.terms.items()))
     return CrossedElement(ctx, x.labeling, out)
 
 
@@ -146,9 +140,9 @@ def skew_context(skew: SkewProduct, base_ctx: LeavittContext) -> LeavittContext:
 
 
 def _check_compatible(skew: SkewProduct, skew_ctx: LeavittContext, base_ctx: LeavittContext):
+    compatible = compatible_ex_choice(skew, base_ctx)
     for (name, i), chosen in skew_ctx.ex_choice.items():
-        v, g = skew.vertex_pair[name]
-        expected = skew.edge_name[(base_ctx.chosen(v, i), g)]
+        expected = compatible[(name, i)]
         if chosen != expected:
             raise AlgebraError(
                 "incompatible choice on the skew product: cell "
@@ -170,22 +164,17 @@ def phi_map(
         raise AlgebraError("element does not live over the given skew product")
     _check_compatible(skew, x.ctx, base_ctx)
     labeling = skew.labeling
-    acc = {}
-    for word, coeff in x.terms.items():
+
+    def crossed_word(word: NormalWord) -> CrossedWord:
         if word.is_vertex:
             v, g = skew.vertex_pair[word.vertex]
-            key = CrossedWord(NormalWord.of_vertex(v), g.inverse())
-        else:
-            source_name = skew.graph.source(word.steps[0])
-            _, g = skew.vertex_pair[source_name]
-            steps = tuple(
-                SignedEdge(skew.edge_pair[s.edge][0], s.star) for s in word.steps
-            )
-            base_word = NormalWord.of_steps(steps)
-            label = labeling.of_word(steps)
-            key = CrossedWord(base_word, (g * label).inverse())
-        acc[key] = acc.get(key, scalars.ZERO) + coeff
-    return CrossedElement(base_ctx, labeling, acc)
+            return CrossedWord(NormalWord.of_vertex(v), g.inverse())
+        _, g = skew.vertex_pair[skew.graph.source(word.steps[0])]
+        steps = tuple(SignedEdge(skew.edge_pair[s.edge][0], s.star) for s in word.steps)
+        return CrossedWord(NormalWord.of_steps(steps), (g * labeling.of_word(steps)).inverse())
+
+    terms = accumulate({}, ((crossed_word(w), c) for w, c in x.terms.items()))
+    return CrossedElement(base_ctx, labeling, terms)
 
 
 def phi_inverse_word(
@@ -225,30 +214,28 @@ def psi_on_generators(skew: SkewProduct, skew_ctx: LeavittContext) -> PsiGenerat
     if not group.is_finite:
         raise GroupError(f"slot sums need a finite group, got {group}")
     elements = group.elements()
-    vertex_image = {}
-    for v in skew.base.vertices:
-        total = zero(skew_ctx)
-        for g in elements:
-            total = total + vertex_element(skew_ctx, skew.vertex_name[(v, g)])
-        vertex_image[v] = total
-    edge_image = {}
-    for e in skew.base.edges:
-        total = zero(skew_ctx)
-        for g in elements:
-            total = total + edge_element(skew_ctx, skew.edge_name[(e.id, g)])
-        edge_image[e.id] = total
-    chi_image = {}
-    for g in elements:
-        total = zero(skew_ctx)
-        for v in skew.base.vertices:
-            total = total + vertex_element(skew_ctx, skew.vertex_name[(v, g.inverse())])
-        chi_image[g] = total
+
+    def total(make, names):
+        return sum_of(skew_ctx, (make(skew_ctx, name) for name in names))
+
+    vertex_image = {
+        v: total(vertex_element, (skew.vertex_name[(v, g)] for g in elements))
+        for v in skew.base.vertices
+    }
+    edge_image = {
+        e.id: total(edge_element, (skew.edge_name[(e.id, g)] for g in elements))
+        for e in skew.base.edges
+    }
+    chi_image = {
+        g: total(vertex_element, (skew.vertex_name[(v, g.inverse())] for v in skew.base.vertices))
+        for g in elements
+    }
     return PsiGenerators(vertex_image, edge_image, chi_image)
 
 
 def psi_apply(gens: PsiGenerators, x: CrossedElement, skew_ctx: LeavittContext) -> AlgebraElement:
     """Evaluate the inverse covariant pair on a crossed element."""
-    out = zero(skew_ctx)
+    images = []
     for cw, coeff in x.terms.items():
         if cw.word.is_vertex:
             value = gens.vertex_image[cw.word.vertex]
@@ -259,9 +246,8 @@ def psi_apply(gens: PsiGenerators, x: CrossedElement, skew_ctx: LeavittContext) 
                 if s.star:
                     factor = factor.star()
                 value = factor if value is None else value * factor
-        value = value * gens.chi_image[cw.slot]
-        out = out + value.scale(coeff)
-    return out
+        images.append((value * gens.chi_image[cw.slot]).scale(coeff))
+    return sum_of(skew_ctx, images)
 
 
 def slot_translate(x: CrossedElement, z: GroupElement) -> CrossedElement:

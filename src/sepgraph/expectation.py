@@ -42,12 +42,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import scalars
 from .algebra import (
     AlgebraElement,
     AlgebraError,
     LeavittContext,
     NormalWord,
+    accumulate,
     from_word,
     vertex_element,
     zero,
@@ -171,8 +171,15 @@ def _n_value(ctx: LeavittContext, steps: tuple) -> Fraction:
     return _n_reduced(ctx, reduced)
 
 
-def _add(states: dict, node: int, coeff: int) -> None:
-    states[node] = states.get(node, 0) + coeff
+def _walk_moves(prefixes: _Prefixes, states: dict, chunk: Sequence[int], size: int, pair: bool):
+    """The (node, coefficient) moves of one walk step: each node reads the chunk
+    on (a kept pair scales by |X|) and, at a pair, also deletes it (sign -1)."""
+    for node, coeff in states.items():
+        kept = prefixes.extend(node, chunk)
+        if kept is not None:
+            yield kept, coeff * size
+        if pair:
+            yield node, -coeff
 
 
 def _n_reduced(ctx: LeavittContext, steps: tuple) -> Fraction:
@@ -205,17 +212,11 @@ def _n_reduced(ctx: LeavittContext, steps: tuple) -> Fraction:
             pair = i in pairs
             chunk = codes[i : i + 2] if pair else codes[i : i + 1]
             size = len(graph.cell_edges(*graph.cell_of(steps[i].edge))) if pair else 1
-            following = {}
-            for node, coeff in states.items():
-                kept = prefixes.extend(node, chunk)
-                if kept is not None:
-                    _add(following, kept, coeff * size)
-                if pair:
-                    _add(following, node, -coeff)
+            following = accumulate({}, _walk_moves(prefixes, states, chunk, size, pair))
             if pair:
                 original = prefixes.extend(original, codes[seen:i])
                 seen = i
-                _add(following, original, -scale)
+                accumulate(following, ((original, -scale),))
             states = following
             scale *= size
             i += len(chunk)
@@ -236,19 +237,17 @@ def expect(x: AlgebraElement) -> AlgebraElement:
     through the input coefficients).
     """
     ctx = x.ctx
-    acc = {}
-    for word, coeff in x.terms.items():
-        if word.is_vertex:
-            key = word
-            value = coeff
-        else:
-            n = _n_value(ctx, word.steps)
-            if not n:
-                continue
-            key = NormalWord.of_vertex(ctx.graph.source(word.steps[0]))
-            value = coeff * n
-        acc[key] = acc.get(key, scalars.ZERO) + value
-    return AlgebraElement(ctx, acc)
+
+    def vertex_terms():
+        for word, coeff in x.terms.items():
+            if word.is_vertex:
+                yield word, coeff
+            else:
+                n = _n_value(ctx, word.steps)
+                if n:
+                    yield NormalWord.of_vertex(ctx.graph.source(word.steps[0])), coeff * n
+
+    return AlgebraElement(ctx, accumulate({}, vertex_terms()))
 
 
 def is_vertex_supported(x: AlgebraElement) -> bool:
@@ -302,7 +301,7 @@ def cell_subgraph(graph: SeparatedGraph, v: str, index: int) -> SeparatedGraph:
 
 def beta_element(ctx: LeavittContext, edge_id: str) -> AlgebraElement:
     """The kernel element S_e S_e* - (1/|X|) P_v of the cell expectation."""
-    v, k = ctx.cell_of(edge_id)
-    size = len(ctx.cell_edges(v, k))
+    v, k = ctx.graph.cell_of(edge_id)
+    size = len(ctx.graph.cell_edges(v, k))
     word = NormalWord.of_steps((SignedEdge(edge_id), SignedEdge(edge_id, True)))
     return from_word(ctx, word) - vertex_element(ctx, v).scale(Fraction(1, size))

@@ -90,9 +90,6 @@ class SeparatedGraph:
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._out
-
     def require_vertex(self, v: str) -> None:
         if v not in self._out:
             raise GraphError(f"unknown vertex id {v!r}")
@@ -114,9 +111,6 @@ class SeparatedGraph:
 
     def cell_edges(self, v: str, index: int) -> tuple:
         return self.cells(v)[index]
-
-    def is_sink(self, v: str) -> bool:
-        return not self.out_edges(v)
 
     def source(self, step: SignedEdge) -> str:
         e = self.edge(step.edge)
@@ -313,14 +307,6 @@ def check_isomorphism(f: GraphMorphism, src: SeparatedGraph, dst: SeparatedGraph
 # -- skew products -----------------------------------------------------------
 
 
-def skew_vertex_id(v: str, g: "GroupElement") -> str:
-    return f"{v}@{g}"
-
-
-def skew_edge_id(e: str, g: "GroupElement") -> str:
-    return f"{e}@{g}"
-
-
 @dataclass
 class SkewProduct:
     """A skew product graph plus the naming maps for its (item, group) pairs.
@@ -358,12 +344,12 @@ def skew_product(graph: SeparatedGraph, labeling: "Labeling") -> SkewProduct:
     edges = []
     for v in graph.vertices:
         for g in elements:
-            name = skew_vertex_id(v, g)
+            name = f"{v}@{g}"
             vertex_name[(v, g)] = name
             vertices.append(name)
     for e in graph.edges:
         for g in elements:
-            name = skew_edge_id(e.id, g)
+            name = f"{e.id}@{g}"
             edge_name[(e.id, g)] = name
             edges.append(
                 Edge(name, vertex_name[(e.src, g)], vertex_name[(e.dst, g * labeling.of(e.id))])

@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 from .graphs import (
     Edge,
     GraphMorphism,
-    GraphPath,
     SeparatedGraph,
     SignedEdge,
     SkewProduct,
@@ -234,7 +233,8 @@ class CyclicGroup(Group):
         return f"zmod:{self.modulus}"
 
 
-def _split_top_level(text: str) -> list:
+def split_top_level(text: str) -> list:
+    """Split at the commas outside parentheses."""
     parts, depth, current = [], 0, []
     for ch in text:
         if ch == "(":
@@ -282,7 +282,7 @@ class ProductGroup(Group):
     def _parse(self, text):
         if not (text.startswith("(") and text.endswith(")")):
             raise GroupError(f"product element literal must be parenthesized: {text!r}")
-        parts = _split_top_level(text[1:-1])
+        parts = split_top_level(text[1:-1])
         if len(parts) != len(self.factors):
             raise GroupError(f"expected {len(self.factors)} components in {text!r}")
         return tuple(f._parse(p.strip()) for f, p in zip(self.factors, parts))
@@ -297,18 +297,6 @@ class ProductGroup(Group):
 
     def __str__(self):
         return "x".join(str(f) for f in self.factors)
-
-
-def g_mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a * b
-
-
-def g_inv(a: GroupElement) -> GroupElement:
-    return a.inverse()
-
-
-def g_id(group: Group) -> GroupElement:
-    return group.identity()
 
 
 # -- JSON group specs ---------------------------------------------------------
@@ -368,12 +356,6 @@ class Labeling:
         for step in steps:
             out = out * self.of_step(step)
         return out
-
-
-def label_of_path(labeling: Labeling, path) -> GroupElement:
-    """The label of a path over the extended graph; the empty path maps to 1."""
-    steps = path.steps if isinstance(path, GraphPath) else tuple(path)
-    return labeling.of_word(steps)
 
 
 def free_labeling(graph: SeparatedGraph) -> Labeling:
@@ -462,15 +444,21 @@ def check_action(action: GraphAction, graph: SeparatedGraph) -> list:
     return problems
 
 
-def is_free(action: GraphAction, graph: SeparatedGraph) -> bool:
-    """True iff no nontrivial group element fixes a vertex."""
+def _fixed_vertex(action: GraphAction, graph: SeparatedGraph):
+    """The first (nontrivial g, vertex it fixes), or ``None`` for a free action."""
     for g in action.group.elements():
         if g.is_identity:
             continue
         vmap = action.morphism(g).vmap
-        if any(vmap[v] == v for v in graph.vertices):
-            return False
-    return True
+        for v in graph.vertices:
+            if vmap[v] == v:
+                return g, v
+    return None
+
+
+def is_free(action: GraphAction, graph: SeparatedGraph) -> bool:
+    """True iff no nontrivial group element fixes a vertex."""
+    return _fixed_vertex(action, graph) is None
 
 
 def translation_action(skew: SkewProduct) -> GraphAction:
@@ -534,13 +522,10 @@ def gross_tucker(graph: SeparatedGraph, action: GraphAction) -> GrossTuckerResul
     problems = check_action(action, graph)
     if problems:
         raise GroupError("invalid action: " + "; ".join(problems))
-    if not is_free(action, graph):
-        for g in action.group.elements():
-            if g.is_identity:
-                continue
-            for v in graph.vertices:
-                if action.apply_vertex(g, v) == v:
-                    raise GroupError(f"action is not free: {g} fixes vertex {v!r}")
+    fixed = _fixed_vertex(action, graph)
+    if fixed is not None:
+        g, v = fixed
+        raise GroupError(f"action is not free: {g} fixes vertex {v!r}")
     quotient = quotient_graph(graph, action)
     group = action.group
     elements = group.elements()

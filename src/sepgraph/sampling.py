@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraElement, LeavittContext, NormalWord, from_word, is_normal, zero
+from .algebra import AlgebraElement, LeavittContext, NormalWord, from_word, is_normal, sum_of
 from .graphs import Edge, GraphPath, SeparatedGraph, SignedEdge
 from .groups import Group, Labeling
 from .scalars import GaussianRational
@@ -118,11 +118,11 @@ def random_element(
     max_terms: int = 3,
     max_len: int = 5,
 ) -> AlgebraElement:
-    total = zero(ctx)
+    terms = []
     for _ in range(rng.randint(1, max_terms)):
         word = random_normal_word(rng, ctx, max_len)
-        total = total + from_word(ctx, word, random_coefficient(rng))
-    return total
+        terms.append(from_word(ctx, word, random_coefficient(rng)))
+    return sum_of(ctx, terms)
 
 
 def random_forward_path(

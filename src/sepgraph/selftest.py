@@ -26,7 +26,7 @@ from .algebra import (
     rebase,
     vertex_element,
     word_degree,
-    zero,
+    sum_of,
 )
 from .expectation import beta_element, cell_subgraph, expect, n_mu, phi_ordinary
 from .graphs import (
@@ -290,10 +290,7 @@ def criterion_7(rng) -> str:
             for _ in range(10):
                 x = random_element(rng, ctx, max_terms=3, max_len=5)
                 parts = decompose(x, labeling)
-                total = zero(ctx)
-                for part in parts.values():
-                    total = total + part
-                assert total == x, "components do not sum back"
+                assert sum_of(ctx, parts.values()) == x, "components do not sum back"
                 degrees = list(parts)
                 for g in degrees:
                     assert component(parts[g], g, labeling) == parts[g], "not idempotent"

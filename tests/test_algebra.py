@@ -19,6 +19,7 @@ from sepgraph.algebra import (
     parse_element,
     rebase,
     reduce_word,
+    sum_of,
     vertex_element,
     word_degree,
     zero,
@@ -185,6 +186,25 @@ def test_context_mismatch_is_rejected():
     ctx2 = LeavittContext(PAIR, {("v", 0): "e2"})
     with pytest.raises(AlgebraError, match="context"):
         vertex_element(ctx1, "v") * vertex_element(ctx2, "v")
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_sum_of_is_the_left_fold_of_add(seed):
+    rng = random.Random(seed)
+    ctx = LeavittContext(random_separated_graph(rng, max_vertices=3, max_edges=6))
+    xs = [random_element(rng, ctx, max_terms=4, max_len=4) for _ in range(rng.randint(0, 6))]
+    xs += [-x for x in rng.sample(xs, rng.randint(0, len(xs)))]  # some summands cancel
+    rng.shuffle(xs)
+    folded = zero(ctx)
+    for x in xs:
+        folded = folded + x
+    total = sum_of(ctx, xs)
+    assert total == folded
+    assert all(total.terms.values())
+    assert sum_of(ctx, xs + [-x for x in xs]).is_zero
+    foreign = LeavittContext(PAIR, {("v", 0): "e2"})
+    with pytest.raises(AlgebraError, match="context"):
+        sum_of(ctx, xs + [vertex_element(foreign, "v")])
 
 
 def test_literal_roundtrip():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -66,6 +69,15 @@ def test_cayley_z3(capsys):
     assert len(graph["vertices"]) == 3
     assert len(graph["edges"]) == 3
     assert all(len(cell) == 1 for cells in graph["separation"].values() for cell in cells)
+
+
+def test_cayley_generator_list_ignores_spaces_and_empty_parts(capsys):
+    z2z2 = json.dumps({"type": "product", "factors": [{"type": "zmod", "n": 2}] * 2})
+    code, loose, _ = run(capsys, "cayley", "--group", z2z2, "--generators", "(1,0), (0,1),")
+    assert code == 0
+    _, tight, _ = run(capsys, "cayley", "--group", z2z2, "--generators", "(1,0),(0,1)")
+    assert loose == tight
+    assert len(json.loads(tight)["edges"]) == 8
 
 
 def test_reduce_star_edge(capsys, a2_file):
@@ -248,3 +260,22 @@ def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["cayley", "--group", "zmod:4000", "--generators", "1,2,3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sepgraph.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()  # like `| head -1`: the reader leaves before the output ends
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and err == ""

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sepgraph.algebra import (
+    AlgebraError,
     LeavittContext,
     NormalWord,
     edge_element,
@@ -10,6 +11,7 @@ from sepgraph.algebra import (
     vertex_element,
 )
 from sepgraph.crossed import (
+    CrossedElement,
     compatible_ex_choice,
     crossed_element,
     crossed_mul,
@@ -78,6 +80,16 @@ def test_slot_mismatch_kills_products():
     assert not crossed_mul(x, y).is_zero
     y_bad = crossed_element(ctx, labeling, word, group.element(1))
     assert crossed_mul(x, y_bad).is_zero
+
+
+def test_adding_crossed_elements_with_different_labelings_is_rejected():
+    group, labeling, ctx, _ = loop_setup()
+    other = Labeling(group, {"a": group.element(0)})
+    x = vert(ctx, "v", group.element(0), labeling)
+    y = vert(ctx, "v", group.element(0), other)
+    assert x + x == CrossedElement(ctx, labeling, {cw: 2 * c for cw, c in x.terms.items()})
+    with pytest.raises(AlgebraError, match="different labelings"):
+        x + y
 
 
 def test_crossed_mul_is_associative_on_samples():

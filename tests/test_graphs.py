@@ -28,7 +28,6 @@ from sepgraph.groups import (
     GraphAction,
     Labeling,
     cayley_separated_graph,
-    label_of_path,
     translation_action,
 )
 from sepgraph.sampling import random_separated_graph
@@ -206,7 +205,7 @@ def test_skew_path_respects_concatenation():
     g = z3.element(2)
     whole = skew_path(skew, concat_paths(TWO_CYCLE, mu, nu), g)
     first = skew_path(skew, mu, g)
-    second = skew_path(skew, nu, g * label_of_path(skew.labeling, mu))
+    second = skew_path(skew, nu, g * skew.labeling.of_word(mu.steps))
     assert whole.steps == first.steps + second.steps
 
 
