@@ -21,9 +21,8 @@ rewriting terminates; results are memoized per context and strategy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import scalars
 from .graphs import SeparatedGraph, SignedEdge
@@ -35,16 +34,24 @@ class AlgebraError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class NormalWord:
-    """Either a vertex projection or a basis word over the extended alphabet."""
-
+class _Word(NamedTuple):
     vertex: Optional[str]
     steps: tuple
 
-    def __post_init__(self):
-        if (self.vertex is None) == (not self.steps):
+
+class NormalWord(_Word):
+    """Either a vertex projection or a basis word over the extended alphabet.
+
+    A plain tuple underneath, so words hash and compare without a
+    Python-level call; only construction checks the shape.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, vertex: Optional[str], steps: tuple):
+        if (vertex is None) == (not steps):
             raise AlgebraError("a word is either a vertex or a nonempty step sequence")
+        return tuple.__new__(cls, (vertex, steps))
 
     @staticmethod
     def of_vertex(v: str) -> "NormalWord":
@@ -78,7 +85,7 @@ class LeavittContext:
     one context across computations on the same graph.
     """
 
-    __slots__ = ("graph", "ex_choice", "_chosen", "_cache", "expect_cache")
+    __slots__ = ("graph", "ex_choice", "_chosen", "_cache", "expect_cache", "compatible_with")
 
     def __init__(self, graph: SeparatedGraph, ex_choice: Optional[dict] = None):
         graph.require_valid()
@@ -97,6 +104,9 @@ class LeavittContext:
         self.ex_choice = choice
         self._cache = {}
         self.expect_cache = {}
+        # base context -> the SkewProduct this context's choice was checked
+        # against fiberwise (crossed.phi_map); only passed checks are kept
+        self.compatible_with = {}
 
     def same_context(self, other: "LeavittContext") -> bool:
         return self is other or (self.graph == other.graph and self.ex_choice == other.ex_choice)
@@ -133,14 +143,6 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
         if not a.star and b.star and a.edge == b.edge and a.edge in ctx._chosen:
             return False
     return True
-
-
-def _word_source(ctx: LeavittContext, word: NormalWord) -> str:
-    return word.vertex if word.is_vertex else ctx.graph.source(word.steps[0])
-
-
-def _word_range(ctx: LeavittContext, word: NormalWord) -> str:
-    return word.vertex if word.is_vertex else ctx.graph.range(word.steps[-1])
 
 
 def _reduce(ctx: LeavittContext, steps: tuple, strategy: str) -> dict:
@@ -275,15 +277,32 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _require_context(self.ctx, other)
         ctx = self.ctx
+        graph = ctx.graph
+        # a term pair composes iff the left word's range is the right word's
+        # source, so bucket the right terms by source and pair each left term
+        # with its range's bucket only: n + m endpoint lookups, not 2nm
+        by_source = {}
+        for w2, c2 in other.terms.items():
+            start = w2.vertex if w2.vertex is not None else graph.source(w2.steps[0])
+            by_source.setdefault(start, []).append((w2, c2))
         # the hottest loop of every product, so accumulate() is written out
         # here: no generator per term pair, and a +1 sign costs no multiply
         acc = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+            vertex = w1.vertex
+            end = vertex if vertex is not None else graph.range(w1.steps[-1])
+            for w2, c2 in by_source.get(end, ()):
                 c = c1 * c2
-                for word, sign in _concat_reduce(ctx, w1, w2).items():
-                    prev = acc.get(word, scalars.ZERO)
-                    acc[word] = prev + (c if sign == 1 else c * sign)
+                if vertex is not None:  # a vertex projection fixes what leaves it
+                    signs = ((w2, 1),)
+                elif w2.vertex is not None:
+                    signs = ((w1, 1),)
+                else:
+                    signs = _reduce(ctx, w1.steps + w2.steps, "leftmost").items()
+                for word, sign in signs:
+                    prev = acc.get(word)
+                    term = c if sign == 1 else c * sign
+                    acc[word] = term if prev is None else prev + term
         return AlgebraElement(ctx, acc)
 
     def star(self) -> "AlgebraElement":
@@ -295,20 +314,6 @@ class AlgebraElement:
 
     def __repr__(self) -> str:
         return f"<{element_literal(self)}>"
-
-
-def _concat_reduce(ctx: LeavittContext, w1: NormalWord, w2: NormalWord) -> dict:
-    if w1.is_vertex:
-        if w1.vertex == _word_source(ctx, w2):
-            return {w2: 1}
-        return {}
-    if w2.is_vertex:
-        if w2.vertex == _word_range(ctx, w1):
-            return {w1: 1}
-        return {}
-    if ctx.graph.range(w1.steps[-1]) != ctx.graph.source(w2.steps[0]):
-        return {}
-    return _reduce(ctx, w1.steps + w2.steps, "leftmost")
 
 
 def zero(ctx: LeavittContext) -> AlgebraElement:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import scalars
 from .algebra import (
@@ -40,8 +40,7 @@ from .graphs import SignedEdge, SkewProduct
 from .groups import GroupElement, GroupError, Labeling, translation_action
 
 
-@dataclass(frozen=True)
-class CrossedWord:
+class CrossedWord(NamedTuple):
     word: NormalWord
     slot: GroupElement
 
@@ -68,6 +67,10 @@ class CrossedElement:
             isinstance(other, CrossedElement)
             and self.ctx.same_context(other.ctx)
             and self.labeling.group == other.labeling.group
+            and (
+                self.labeling is other.labeling
+                or self.labeling.by_edge == other.labeling.by_edge
+            )
             and self.terms == other.terms
         )
 
@@ -158,11 +161,15 @@ def phi_map(
 
     A basis word starting at the fiber vertex (v, g) and projecting to the
     base word s goes to (s, (g c(s))^-1); this is a linear bijection of bases
-    under the fiberwise-compatible choice (checked here).
+    under the fiberwise-compatible choice.  That choice is checked once per
+    (skew context, base context): a passed check is remembered on the skew
+    context for this ``skew`` object, a failed one is not.
     """
     if x.ctx.graph != skew.graph:
         raise AlgebraError("element does not live over the given skew product")
-    _check_compatible(skew, x.ctx, base_ctx)
+    if x.ctx.compatible_with.get(base_ctx) is not skew:
+        _check_compatible(skew, x.ctx, base_ctx)
+        x.ctx.compatible_with[base_ctx] = skew
     labeling = skew.labeling
 
     def crossed_word(word: NormalWord) -> CrossedWord:

@@ -128,7 +128,7 @@ class SeparatedGraph:
             raise GraphError("invalid separated graph: " + "; ".join(problems))
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, SeparatedGraph)
             and self.vertices == other.vertices
             and self.edges == other.edges

@@ -30,17 +30,34 @@ class GroupError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    group: "Group"
-    value: object
+    """A value of a group.  Equal means equal value in an equal group; the
+    hash is the value's, computed once at construction."""
+
+    __slots__ = ("group", "value", "_hash")
+
+    def __init__(self, group: "Group", value):
+        self.group = group
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupElement):
+            return NotImplemented
+        return self.value == other.value and (
+            self.group is other.group or self.group == other.group
+        )
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if other.group != self.group:
-            raise GroupError(f"elements of different groups: {self.group} vs {other.group}")
-        return GroupElement(self.group, self.group._mul(self.value, other.value))
+        group = self.group
+        if other.group is not group and other.group != group:
+            raise GroupError(f"elements of different groups: {group} vs {other.group}")
+        return GroupElement(group, group._mul(self.value, other.value))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.group, self.group._inv(self.value))

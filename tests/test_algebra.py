@@ -34,6 +34,7 @@ from sepgraph.groups import (
     translation_action,
 )
 from sepgraph.sampling import (
+    random_coefficient,
     random_composable_word,
     random_element,
     random_normal_word,
@@ -55,6 +56,21 @@ def fwd(e):
 
 def bwd(e):
     return SignedEdge(e, True)
+
+
+def test_normal_words_are_values():
+    word = NormalWord.of_steps((fwd("e1"), bwd("e2")))
+    assert word == NormalWord.of_steps([fwd("e1"), bwd("e2")])
+    assert hash(word) == hash(NormalWord.of_steps([fwd("e1"), bwd("e2")]))
+    assert hash(NormalWord.of_vertex("v")) == hash(NormalWord.of_vertex("v"))
+    assert word.adjoint() == NormalWord.of_steps((fwd("e2"), bwd("e1")))
+    assert word.adjoint().adjoint() == word
+    assert NormalWord.of_vertex("v").adjoint() == NormalWord.of_vertex("v")
+    for vertex, steps in ((None, ()), ("v", (fwd("e1"),))):
+        with pytest.raises(AlgebraError, match="either a vertex"):
+            NormalWord(vertex, steps)
+    with pytest.raises(AlgebraError, match="either a vertex"):
+        NormalWord.of_steps(())
 
 
 # -- normality ---------------------------------------------------------------
@@ -179,6 +195,40 @@ def test_mul_is_associative_on_samples():
     for _ in range(15):
         x, y, z = (random_element(rng, ctx, max_terms=2, max_len=4) for _ in range(3))
         assert (x * y) * z == x * (y * z)
+
+
+def test_mul_is_the_sum_of_composable_term_pair_reductions():
+    # vertex terms and non-composable pairs on purpose: the reference reduces
+    # every term pair by the other strategy in its own context, and a pair
+    # whose junction does not compose contributes zero
+    seen = {"vertex": 0, "non_composable": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        graph = random_separated_graph(rng, max_vertices=3, max_edges=6)
+        ctx, ref_ctx = LeavittContext(graph), LeavittContext(graph)
+
+        def sample():
+            x = random_element(rng, ctx, max_terms=4, max_len=3)
+            v = rng.choice(graph.vertices)
+            return x + vertex_element(ctx, v).scale(random_coefficient(rng))
+
+        def ends(w):
+            if w.is_vertex:
+                return w.vertex, w.vertex
+            return graph.source(w.steps[0]), graph.range(w.steps[-1])
+
+        x, y = sample(), sample()
+        pairs = []
+        for w1, c1 in x.terms.items():
+            for w2, c2 in y.terms.items():
+                seen["vertex"] += w1.is_vertex or w2.is_vertex
+                if ends(w1)[1] != ends(w2)[0]:
+                    seen["non_composable"] += 1
+                    continue
+                steps, c = w1.steps + w2.steps, c1 * c2
+                pairs.append(reduce_word(ref_ctx, steps, c, base=w1.vertex, strategy="rightmost"))
+        assert x * y == sum_of(ref_ctx, pairs)
+    assert seen["vertex"] and seen["non_composable"]
 
 
 def test_context_mismatch_is_rejected():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sepgraph import crossed
 from sepgraph.algebra import (
     AlgebraError,
     LeavittContext,
@@ -12,6 +13,7 @@ from sepgraph.algebra import (
 )
 from sepgraph.crossed import (
     CrossedElement,
+    CrossedWord,
     compatible_ex_choice,
     crossed_element,
     crossed_mul,
@@ -90,6 +92,26 @@ def test_adding_crossed_elements_with_different_labelings_is_rejected():
     assert x + x == CrossedElement(ctx, labeling, {cw: 2 * c for cw, c in x.terms.items()})
     with pytest.raises(AlgebraError, match="different labelings"):
         x + y
+
+
+def test_crossed_elements_with_different_labelings_are_unequal():
+    graph = SeparatedGraph(["v"], [("a", "v", "v"), ("b", "v", "v")], {"v": [["a"], ["b"]]})
+    ctx = LeavittContext(graph)
+    one, zero = Z2.element(1), Z2.element(0)
+    first = Labeling(Z2, {"a": one, "b": zero})
+    second = Labeling(Z2, {"a": zero, "b": one})
+    x = vert(ctx, "v", zero, first)
+    assert x != vert(ctx, "v", zero, second)
+    assert x == vert(ctx, "v", zero, Labeling(Z2, dict(first.by_edge)))
+
+
+def test_crossed_words_are_values():
+    group, _, _, _ = loop_setup()
+    word = NormalWord.of_steps((SignedEdge("a"),))
+    cw = CrossedWord(NormalWord.of_steps((SignedEdge("a"),)), group.element(1))
+    assert cw == CrossedWord(word, CyclicGroup(2).element(3))
+    assert hash(cw) == hash(CrossedWord(word, CyclicGroup(2).element(3)))
+    assert cw != CrossedWord(word, CyclicGroup(4).element(1))
 
 
 def test_crossed_mul_is_associative_on_samples():
@@ -205,6 +227,46 @@ def test_phi_requires_the_compatible_choice():
     x = vertex_element(bad_ctx, name)
     with pytest.raises(Exception, match="incompatible"):
         phi_map(x, skew, base_ctx)
+
+
+def test_phi_compatibility_memo_is_scoped_to_the_contexts(monkeypatch):
+    graph = SeparatedGraph(
+        ["v"], [("e1", "v", "v"), ("e2", "v", "v")], {"v": [["e1", "e2"]]}
+    )
+    base_ctx = LeavittContext(graph)
+    labeling = Labeling(Z2, {"e1": Z2.element(1), "e2": Z2.element(0)})
+    skew = skew_product(graph, labeling)
+    checks = []
+    full_check = crossed._check_compatible
+
+    def counted(*args):
+        checks.append(args)
+        return full_check(*args)
+
+    monkeypatch.setattr(crossed, "_check_compatible", counted)
+    name = skew.vertex_name[("v", Z2.element(0))]
+    good_ctx = skew_context(skew, base_ctx)
+    x = vertex_element(good_ctx, name)
+    assert phi_map(x, skew, base_ctx) == phi_map(x, skew, base_ctx)
+    assert len(checks) == 1
+    # an equal skew product that is another object gets the full check
+    twin = skew_product(graph, labeling)
+    assert twin.graph == skew.graph and twin is not skew
+    phi_map(x, twin, base_ctx)
+    assert len(checks) == 2
+    # a fresh context over the same graph with one cell's choice flipped
+    bad_choice = dict(good_ctx.ex_choice)
+    flipped = bad_choice[(name, 0)] = skew.edge_name[("e2", Z2.element(0))]
+    bad_ctx = LeavittContext(skew.graph, bad_choice)
+    message = (
+        f"incompatible choice on the skew product: cell 0 at {name!r} chooses "
+        f"{flipped!r}, not the fiber copy of the base choice {good_ctx.ex_choice[(name, 0)]!r}"
+    )
+    for _ in range(2):  # a failed check is not remembered
+        with pytest.raises(AlgebraError) as err:
+            phi_map(vertex_element(bad_ctx, name), skew, base_ctx)
+        assert str(err.value) == message
+    assert len(checks) == 4
 
 
 # -- the inverse pair -------------------------------------------------------------------

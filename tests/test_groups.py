@@ -64,6 +64,16 @@ def test_mixed_groups_raise():
         Z3.element(1) * CyclicGroup(4).element(1)
 
 
+def test_group_elements_are_values():
+    z2, z4 = CyclicGroup(2), CyclicGroup(4)
+    assert z2.element(1) == CyclicGroup(2).element(3)
+    assert hash(z2.element(1)) == hash(CyclicGroup(2).element(3))
+    assert z2.element(1) != z4.element(1)
+    with pytest.raises(GroupError, match="different groups"):
+        z2.element(1) * z4.element(1)
+    assert {F2.generator("a") * F2.generator("b"): 1} == {F2.parse("a.b"): 1}
+
+
 def test_identity_element():
     assert Z3.identity() == Z3.element(0)
     assert F2.identity().value == ()
