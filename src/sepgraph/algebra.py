@@ -16,7 +16,9 @@ Arbitrary generator words are rewritten to that basis by a confluent system:
   (coefficient -1).
 
 Every branch strictly decreases (word length, number of R3 redexes), so
-rewriting terminates; results are memoized per context and strategy.
+rewriting terminates.  It runs as one stack pass over the word per branch,
+without recursion, so cancellation is linear in the word length; whole input
+words are memoized per context and strategy.
 """
 
 from __future__ import annotations
@@ -81,8 +83,9 @@ class LeavittContext:
     """A validated graph plus a chosen edge ``e_X`` per separation cell.
 
     The choice parameterizes the basis; the default is the lexicographically
-    smallest edge id in each cell.  Rewriting results are cached here, so share
-    one context across computations on the same graph.
+    smallest edge id in each cell.  The graph's step table is shared by every
+    context over it; a context adds only its set of chosen edges and its
+    caches, so share one context across computations on the same graph.
     """
 
     __slots__ = ("graph", "ex_choice", "_chosen", "_cache", "expect_cache", "compatible_with")
@@ -131,61 +134,92 @@ def _require_context(ctx: LeavittContext, x: "AlgebraElement") -> None:
         raise AlgebraError("elements live over different graph/choice contexts")
 
 
+def forbidden_pair(ctx: LeavittContext, a: SignedEdge, b: SignedEdge) -> bool:
+    """True iff ``a b`` is a forbidden subword: ``e* f`` with ``e, f`` in one
+    cell, or ``e_X e_X*`` for a chosen edge ``e_X``."""
+    if a.star:
+        table = ctx.graph.step_table()
+        return not b.star and table[a][2] == table[b][2]
+    return b.star and a.edge == b.edge and a.edge in ctx._chosen
+
+
 def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     """True iff the word is composable and avoids both forbidden subwords."""
     steps = tuple(steps)
-    graph = ctx.graph
-    for a, b in zip(steps, steps[1:]):
-        if graph.range(a) != graph.source(b):
-            return False
-        if a.star and not b.star and graph.cell_of(a.edge) == graph.cell_of(b.edge):
-            return False
-        if not a.star and b.star and a.edge == b.edge and a.edge in ctx._chosen:
-            return False
-    return True
+    table = ctx.graph.step_table()
+    return all(
+        table[a][1] == table[b][0] and not forbidden_pair(ctx, a, b)
+        for a, b in zip(steps, steps[1:])
+    )
 
 
 def _reduce(ctx: LeavittContext, steps: tuple, strategy: str) -> dict:
-    """Rewrite a composable word to normal form; returns {NormalWord: +/-1}."""
+    """Rewrite a composable word to normal form; returns {NormalWord: +/-1}.
+    Only whole input words are cached."""
     key = (strategy, steps)
-    cached = ctx._cache.get(key)
-    if cached is not None:
-        return cached
-    graph = ctx.graph
-    n = len(steps)
-    indices = range(n - 1) if strategy == "leftmost" else range(n - 2, -1, -1)
-    result = None
-    for i in indices:
-        a, b = steps[i], steps[i + 1]
-        if a.star and not b.star:
-            if graph.cell_of(a.edge) != graph.cell_of(b.edge):
-                continue
-            if a.edge == b.edge:
-                result = _reduce_splice(ctx, steps, steps[:i] + steps[i + 2 :], strategy)
-            else:
-                result = {}
-            break
-        if (not a.star) and b.star and a.edge == b.edge and a.edge in ctx._chosen:
-            v, k = graph.cell_of(a.edge)
-            acc = dict(_reduce_splice(ctx, steps, steps[:i] + steps[i + 2 :], strategy))
-            for other in graph.cell_edges(v, k):
-                if other == a.edge:
-                    continue
-                branch = steps[:i] + (SignedEdge(other), SignedEdge(other, True)) + steps[i + 2 :]
-                for word, sign in _reduce(ctx, branch, strategy).items():
-                    acc[word] = acc.get(word, 0) - sign
-            result = {word: sign for word, sign in acc.items() if sign}
-            break
+    result = ctx._cache.get(key)
     if result is None:
-        result = {NormalWord.of_steps(steps): 1}
-    ctx._cache[key] = result
+        result = ctx._cache[key] = _fold(ctx, steps, strategy != "leftmost")
     return result
 
 
-def _reduce_splice(ctx, original: tuple, spliced: tuple, strategy: str) -> dict:
-    if spliced:
-        return _reduce(ctx, spliced, strategy)
-    return {NormalWord.of_vertex(ctx.graph.source(original[0])): 1}
+def _fold(ctx: LeavittContext, steps: tuple, flip: bool) -> dict:
+    """Rewriting as one stack pass per branch, leftmost redex first.
+
+    The stack holds a normal prefix, so a rule can only fire between its top
+    and the next letter: R1 pops, R2 kills the branch, and R3 pops ``e_X`` and
+    queues, for every other ``f`` of the cell, a copy of the stack with ``f f*``
+    pending before the rest of the input and the sign negated.
+
+    With ``flip`` the word is read right to left and each letter as its
+    adjoint; the rules are invariant under the adjoint, so this fires the
+    rightmost redex first.
+    """
+    table = ctx.graph.step_table()
+    chosen = ctx._chosen
+    letters = steps[::-1] if flip else steps
+    n = len(steps)
+    stack, pending, i, sign = [letters[0]], (), 1, 1
+    fired = False
+    work = []
+    out = {}
+    while True:
+        while pending or i < n:
+            if pending:
+                b, pending = pending[0], pending[1:]
+            else:
+                b = letters[i]
+                i += 1
+            if stack:
+                a = stack[-1]
+                if a.star != flip:
+                    if b.star == flip and table[a][2] == table[b][2]:
+                        fired = True
+                        if a.edge != b.edge:  # R2
+                            sign = 0
+                            break
+                        stack.pop()  # R1
+                        continue
+                elif b.star != flip and a.edge == b.edge and a.edge in chosen:  # R3
+                    fired = True
+                    stack.pop()
+                    for f in reversed(table[a][3]):  # queued to run in cell order
+                        if f != a.edge:
+                            branch = (SignedEdge(f, flip), SignedEdge(f, not flip)) + pending
+                            work.append((stack[:], branch, i, -sign))
+                    continue
+            stack.append(b)
+        if not fired:  # the word is normal as it stands
+            return {NormalWord(None, steps): 1}
+        if sign:
+            if not stack:
+                word = NormalWord(table[steps[0]][0], ())
+            else:
+                word = NormalWord(None, tuple(stack[::-1] if flip else stack))
+            out[word] = out.get(word, 0) + sign
+        if not work:
+            return {word: sign for word, sign in out.items() if sign}
+        stack, pending, i, sign = work.pop()
 
 
 def reduce_word(
@@ -206,11 +240,10 @@ def reduce_word(
             raise AlgebraError("an empty word needs its base vertex")
         ctx.graph.require_vertex(base)
         return AlgebraElement(ctx, {NormalWord.of_vertex(base): coeff})
-    graph = ctx.graph
-    for step in steps:
-        graph.edge(step.edge)  # unknown ids are context errors, not zero
-    for a, b in zip(steps, steps[1:]):
-        if graph.range(a) != graph.source(b):
+    table = ctx.graph.step_table()
+    ends = [table[step] for step in steps]  # unknown ids are context errors, not zero
+    for a, b in zip(ends, ends[1:]):
+        if a[1] != b[0]:
             return AlgebraElement(ctx, {})
     terms = {}
     for word, sign in _reduce(ctx, steps, strategy).items():
@@ -277,20 +310,20 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         _require_context(self.ctx, other)
         ctx = self.ctx
-        graph = ctx.graph
+        table = ctx.graph.step_table()
         # a term pair composes iff the left word's range is the right word's
         # source, so bucket the right terms by source and pair each left term
         # with its range's bucket only: n + m endpoint lookups, not 2nm
         by_source = {}
         for w2, c2 in other.terms.items():
-            start = w2.vertex if w2.vertex is not None else graph.source(w2.steps[0])
+            start = w2.vertex if w2.vertex is not None else table[w2.steps[0]][0]
             by_source.setdefault(start, []).append((w2, c2))
         # the hottest loop of every product, so accumulate() is written out
         # here: no generator per term pair, and a +1 sign costs no multiply
         acc = {}
         for w1, c1 in self.terms.items():
             vertex = w1.vertex
-            end = vertex if vertex is not None else graph.range(w1.steps[-1])
+            end = vertex if vertex is not None else table[w1.steps[-1]][1]
             for w2, c2 in by_source.get(end, ()):
                 c = c1 * c2
                 if vertex is not None:  # a vertex projection fixes what leaves it

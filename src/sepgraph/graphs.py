@@ -45,6 +45,15 @@ class SignedEdge(NamedTuple):
         return self.edge + "*" if self.star else self.edge
 
 
+class _StepTable(dict):
+    """A graph's step table: a missing signed edge is an unknown edge id."""
+
+    __slots__ = ()
+
+    def __missing__(self, step):
+        raise GraphError(f"unknown edge id {step[0]!r}")
+
+
 class SeparatedGraph:
     """A finite directed graph with an ordered out-edge partition per vertex.
 
@@ -54,7 +63,9 @@ class SeparatedGraph:
     representation for sinks).
     """
 
-    __slots__ = ("vertices", "edges", "separation", "_edge_by_id", "_out", "_cell_of")
+    __slots__ = (
+        "vertices", "edges", "separation", "_edge_by_id", "_out", "_cell_of", "_steps", "_moves"
+    )
 
     def __init__(
         self,
@@ -81,6 +92,7 @@ class SeparatedGraph:
             for i, cell in enumerate(cells):
                 for eid in cell:
                     self._cell_of.setdefault(eid, (v, i))
+        self._steps = self._moves = None  # built on first use, then shared by every context
 
     # -- lookups -----------------------------------------------------------
 
@@ -111,6 +123,29 @@ class SeparatedGraph:
 
     def cell_edges(self, v: str, index: int) -> tuple:
         return self.cells(v)[index]
+
+    def step_table(self) -> dict:
+        """Signed edge -> (source, range, cell, cell edges) for both orientations
+        of every edge of a valid graph."""
+        if self._steps is None:
+            self._steps = _StepTable()
+            for eid, (v, i) in self._cell_of.items():
+                e = self._edge_by_id[eid]
+                cell = ((v, i), self.separation[v][i])
+                self._steps[SignedEdge(eid)] = (e.src, e.dst, *cell)
+                self._steps[SignedEdge(eid, True)] = (e.dst, e.src, *cell)
+        return self._steps
+
+    def moves(self, v: str) -> tuple:
+        """The signed edges leaving ``v`` in the extended graph: its out-edges,
+        then the reverses of the edges into it, each in edge order."""
+        self.require_vertex(v)
+        if self._moves is None:
+            into = {u: [] for u in self._out}
+            for e in self.edges:
+                into.get(e.dst, []).append(SignedEdge(e.id, True))
+            self._moves = {u: (*map(SignedEdge, self._out[u]), *into[u]) for u in into}
+        return self._moves[v]
 
     def source(self, step: SignedEdge) -> str:
         e = self.edge(step.edge)

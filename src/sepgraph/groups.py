@@ -364,15 +364,16 @@ class Labeling:
         except KeyError:
             raise GroupError(f"missing label for edge {edge_id!r}") from None
 
-    def of_step(self, step: SignedEdge) -> GroupElement:
-        value = self.of(step.edge)
-        return value.inverse() if step.star else value
-
     def of_word(self, steps: Iterable[SignedEdge]) -> GroupElement:
-        out = self.group.identity()
+        """The label of a word: raw values folded, one element made at the end."""
+        group = self.group
+        out = group._identity()
         for step in steps:
-            out = out * self.of_step(step)
-        return out
+            label = self.of(step.edge)
+            if label.group is not group and label.group != group:
+                raise GroupError(f"elements of different groups: {group} vs {label.group}")
+            out = group._mul(out, group._inv(label.value) if step.star else label.value)
+        return GroupElement(group, out)
 
 
 def free_labeling(graph: SeparatedGraph) -> Labeling:

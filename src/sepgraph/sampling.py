@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import AlgebraElement, LeavittContext, NormalWord, from_word, is_normal, sum_of
+from .algebra import AlgebraElement, LeavittContext, NormalWord, forbidden_pair, from_word, sum_of
 from .graphs import Edge, GraphPath, SeparatedGraph, SignedEdge
 from .groups import Group, Labeling
 from .scalars import GaussianRational
@@ -49,12 +49,6 @@ def random_ordinary_graph(
     return random_separated_graph(rng, max_vertices, max_edges, ordinary=True)
 
 
-def _moves(graph: SeparatedGraph, vertex: str) -> list:
-    moves = [SignedEdge(eid) for eid in graph.out_edges(vertex)]
-    moves.extend(SignedEdge(e.id, True) for e in graph.edges if e.dst == vertex)
-    return moves
-
-
 def random_composable_word(
     rng: random.Random, graph: SeparatedGraph, max_len: int, min_len: int = 1
 ) -> tuple:
@@ -64,7 +58,7 @@ def random_composable_word(
         target = rng.randint(min_len, max_len)
         steps = []
         while len(steps) < target:
-            moves = _moves(graph, vertex)
+            moves = graph.moves(vertex)
             if not moves:
                 break
             step = rng.choice(moves)
@@ -79,25 +73,22 @@ def random_normal_word(
     rng: random.Random, ctx: LeavittContext, max_len: int, min_len: int = 1
 ) -> NormalWord:
     """A random basis word: each step is drawn among the extensions that keep
-    the word normal.  Falls back to a vertex word when a walk dead-ends."""
+    the word normal.  A walk of length 0 gives its start vertex; falls back to
+    a vertex word when every walk dead-ends short of ``min_len``."""
     graph = ctx.graph
     for _ in range(50):
         vertex = rng.choice(graph.vertices)
         target = rng.randint(min_len, max_len)
         steps = []
-        while len(steps) < target:
-            candidates = [
-                m
-                for m in _moves(graph, vertex)
-                if is_normal(ctx, (steps[-1], m) if steps else (m,))
-            ]
-            if not candidates:
-                break
+        candidates = graph.moves(vertex)
+        while len(steps) < target and candidates:
             step = rng.choice(candidates)
             steps.append(step)
-            vertex = graph.range(step)
+            candidates = [
+                m for m in graph.moves(graph.range(step)) if not forbidden_pair(ctx, step, m)
+            ]
         if len(steps) >= min_len:
-            return NormalWord.of_steps(tuple(steps))
+            return NormalWord.of_steps(tuple(steps)) if steps else NormalWord.of_vertex(vertex)
     return NormalWord.of_vertex(rng.choice(graph.vertices))
 
 

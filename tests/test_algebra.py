@@ -12,6 +12,7 @@ from sepgraph.algebra import (
     decompose,
     edge_element,
     element_literal,
+    forbidden_pair,
     from_word,
     induced_automorphism,
     is_homogeneous,
@@ -27,6 +28,7 @@ from sepgraph.algebra import (
 from sepgraph.graphs import Edge, SeparatedGraph, SignedEdge, skew_product
 from sepgraph.groups import (
     CyclicGroup,
+    bouquet_graph,
     GraphAction,
     GraphMorphism,
     Labeling,
@@ -143,6 +145,71 @@ def test_unknown_edge_is_a_context_error():
     ctx = LeavittContext(PAIR)
     with pytest.raises(Exception, match="unknown edge"):
         reduce_word(ctx, (fwd("nope"),))
+
+
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_deep_cancellation_reduces_without_recursion(strategy):
+    n = 10**5
+    ctx = LeavittContext(bouquet_graph(2))
+    steps = (bwd("a1"),) * n + (fwd("a1"),) * n
+    assert reduce_word(ctx, steps, strategy=strategy) == vertex_element(ctx, "v")
+
+
+def test_contexts_share_the_graph_table_but_rewrite_by_their_own_choice():
+    # e1 is chosen in one context and e2 in the other; each is asked in turn,
+    # so a choice stored in the shared table would leak into the other
+    first = LeavittContext(PAIR)
+    second = LeavittContext(PAIR, {("v", 0): "e2"})
+    assert first.graph.step_table() is second.graph.step_table()
+    pair1, pair2 = (fwd("e1"), bwd("e1")), (fwd("e2"), bwd("e2"))
+    for _ in range(2):
+        for ctx, chosen, other in ((first, pair1, pair2), (second, pair2, pair1)):
+            assert not is_normal(ctx, chosen) and is_normal(ctx, other)
+            for strategy in ("leftmost", "rightmost"):
+                expanded = vertex_element(ctx, "v") - from_word(ctx, NormalWord.of_steps(other))
+                assert reduce_word(ctx, chosen, strategy=strategy) == expanded
+                assert reduce_word(ctx, other, strategy=strategy) == from_word(
+                    ctx, NormalWord.of_steps(other)
+                )
+            x = edge_element(ctx, chosen[0].edge)
+            assert x * x.star() == vertex_element(ctx, "v") - from_word(
+                ctx, NormalWord.of_steps(other)
+            )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_each_context_fires_r3_on_its_own_chosen_edges_only(seed):
+    rng = random.Random(seed)
+    graph = random_separated_graph(rng)
+    choices = [
+        {(v, i): rng.choice(cell) for v in graph.vertices for i, cell in enumerate(graph.cells(v))}
+        for _ in range(2)
+    ]
+    contexts = [LeavittContext(graph, choice) for choice in choices]
+    for ctx in contexts + contexts[::-1]:
+        chosen = set(ctx.ex_choice.values())
+        for e in graph.edges:
+            word = (fwd(e.id), bwd(e.id))
+            assert is_normal(ctx, word) == (e.id not in chosen)
+            for strategy in ("leftmost", "rightmost"):
+                terms = reduce_word(ctx, word, strategy=strategy).terms
+                assert (set(terms) == {NormalWord.of_steps(word)}) == (e.id not in chosen)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_forbidden_pairs_are_exactly_the_two_letter_redexes(seed):
+    # the rewriter is the oracle: a composable pair is forbidden iff
+    # rewriting does not return it unchanged
+    rng = random.Random(seed)
+    graph = random_separated_graph(rng, max_vertices=4, max_edges=8)
+    ctx = LeavittContext(graph)
+    for v in graph.vertices:
+        for a in graph.moves(v):
+            for b in graph.moves(graph.range(a)):
+                unchanged = set(reduce_word(ctx, (a, b)).terms) == {NormalWord.of_steps((a, b))}
+                assert forbidden_pair(ctx, a, b) == (not unchanged)
+                assert is_normal(ctx, (a, b)) == unchanged
 
 
 def test_vertex_absorption_and_orthogonality():

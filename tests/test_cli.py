@@ -99,6 +99,13 @@ def test_mul_and_star(capsys, a2_file):
     assert code == 0 and out.strip() == "1/2-1/2i * a1*"
 
 
+def test_mul_of_deep_cancellation_exits_0(capsys, a2_file):
+    # 600 cancelling pairs: deeper than the interpreter's recursion limit
+    left, right = " ".join(["a1"] * 600), " ".join(["a1*"] * 600)
+    code, out, err = run(capsys, "mul", "--graph", a2_file, left, right)
+    assert (code, out, err) == (0, "1 * @v\n", "")
+
+
 def test_reduce_respects_ex_choice(capsys, pair_file, tmp_path):
     choice = tmp_path / "choice.json"
     choice.write_text(json.dumps({"v": ["e2"]}))

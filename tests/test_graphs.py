@@ -116,6 +116,26 @@ def test_signed_edge_value_semantics():
     assert {(e, e_star): 1}[(SignedEdge("a"), SignedEdge("a", True))] == 1
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_step_table_agrees_with_the_edges_and_cells(seed):
+    graph = random_separated_graph(random.Random(seed), max_vertices=5, max_edges=10)
+    table = graph.step_table()
+    assert table is graph.step_table()
+    assert len(table) == 2 * len(graph.edges)
+    for e in graph.edges:
+        cell = graph.cell_of(e.id)
+        assert table[SignedEdge(e.id)] == (e.src, e.dst, cell, graph.cell_edges(*cell))
+        assert table[SignedEdge(e.id, True)] == (e.dst, e.src, cell, graph.cell_edges(*cell))
+    for v in graph.vertices:
+        out = [SignedEdge(eid) for eid in graph.out_edges(v)]
+        into = [SignedEdge(e.id, True) for e in graph.edges if e.dst == v]
+        assert graph.moves(v) == tuple(out + into)
+    with pytest.raises(GraphError, match="unknown edge id 'nope'"):
+        table[SignedEdge("nope")]
+    with pytest.raises(GraphError, match="unknown vertex id 'nope'"):
+        graph.moves("nope")
+
+
 def test_malformed_path_raises():
     with pytest.raises(GraphError):
         check_path(TWO_CYCLE, GraphPath("v", (SignedEdge("a"), SignedEdge("a"))))
