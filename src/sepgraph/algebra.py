@@ -17,8 +17,7 @@ Arbitrary generator words are rewritten to that basis by a confluent system:
 
 Every branch strictly decreases (word length, number of R3 redexes), so
 rewriting terminates.  It runs as one stack pass over the word per branch,
-without recursion, so cancellation is linear in the word length; whole input
-words are memoized per context and strategy.
+without recursion, so cancellation is linear in the word length.
 """
 
 from __future__ import annotations
@@ -84,11 +83,11 @@ class LeavittContext:
 
     The choice parameterizes the basis; the default is the lexicographically
     smallest edge id in each cell.  The graph's step table is shared by every
-    context over it; a context adds only its set of chosen edges and its
-    caches, so share one context across computations on the same graph.
+    context over it; a context adds only its set of chosen edges, the
+    expectation's memo and the fiberwise choices it passed.
     """
 
-    __slots__ = ("graph", "ex_choice", "_chosen", "_cache", "expect_cache", "compatible_with")
+    __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache", "compatible_with")
 
     def __init__(self, graph: SeparatedGraph, ex_choice: Optional[dict] = None):
         graph.require_valid()
@@ -105,7 +104,6 @@ class LeavittContext:
                 )
             self._chosen.add(eid)
         self.ex_choice = choice
-        self._cache = {}
         self.expect_cache = {}
         # base context -> the SkewProduct this context's choice was checked
         # against fiberwise (crossed.phi_map); only passed checks are kept
@@ -153,18 +151,10 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     )
 
 
-def _reduce(ctx: LeavittContext, steps: tuple, strategy: str) -> dict:
-    """Rewrite a composable word to normal form; returns {NormalWord: +/-1}.
-    Only whole input words are cached."""
-    key = (strategy, steps)
-    result = ctx._cache.get(key)
-    if result is None:
-        result = ctx._cache[key] = _fold(ctx, steps, strategy != "leftmost")
-    return result
-
-
 def _fold(ctx: LeavittContext, steps: tuple, flip: bool) -> dict:
-    """Rewriting as one stack pass per branch, leftmost redex first.
+    """Rewrite a composable word to normal form; returns {NormalWord: +/-1}.
+
+    One stack pass per branch, leftmost redex first.
 
     The stack holds a normal prefix, so a rule can only fire between its top
     and the next letter: R1 pops, R2 kills the branch, and R3 pops ``e_X`` and
@@ -246,7 +236,7 @@ def reduce_word(
         if a[1] != b[0]:
             return AlgebraElement(ctx, {})
     terms = {}
-    for word, sign in _reduce(ctx, steps, strategy).items():
+    for word, sign in _fold(ctx, steps, strategy != "leftmost").items():
         terms[word] = coeff if sign == 1 else coeff * sign
     return AlgebraElement(ctx, terms)
 
@@ -331,7 +321,7 @@ class AlgebraElement:
                 elif w2.vertex is not None:
                     signs = ((w1, 1),)
                 else:
-                    signs = _reduce(ctx, w1.steps + w2.steps, "leftmost").items()
+                    signs = _fold(ctx, w1.steps + w2.steps, False).items()
                 for word, sign in signs:
                     prev = acc.get(word)
                     term = c if sign == 1 else c * sign
@@ -402,10 +392,6 @@ def decompose(x: AlgebraElement, labeling: Labeling) -> dict:
     return {g: AlgebraElement(x.ctx, terms) for g, terms in parts.items()}
 
 
-def is_homogeneous(x: AlgebraElement, labeling: Labeling) -> bool:
-    return len(decompose(x, labeling)) <= 1
-
-
 # -- induced automorphisms ------------------------------------------------------
 
 
@@ -446,14 +432,6 @@ def element_literal(x: AlgebraElement) -> str:
     return " + ".join(parts)
 
 
-def _parse_factor(ctx: LeavittContext, token: str) -> AlgebraElement:
-    if token.startswith("@"):
-        return vertex_element(ctx, token[1:])
-    if token.endswith("*"):
-        return edge_element(ctx, token[:-1], star=True)
-    return edge_element(ctx, token)
-
-
 def parse_element(ctx: LeavittContext, text: str) -> AlgebraElement:
     """Parse the element literal syntax.
 
@@ -487,9 +465,31 @@ def parse_element(ctx: LeavittContext, text: str) -> AlgebraElement:
             term = term[2:]
             if not term:
                 raise AlgebraError(f"coefficient without a word in {text!r}")
-        value = None
-        for tok in term:
-            factor = _parse_factor(ctx, tok)
-            value = factor if value is None else value * factor
-        values.append(value.scale(coeff * sign))
+        values.append(_parse_term(ctx, term, coeff * sign))
     return sum_of(ctx, values)
+
+
+def _parse_term(ctx: LeavittContext, tokens: list, coeff: GaussianRational) -> AlgebraElement:
+    """The product of one term's factors as one raw word, rewritten once.
+
+    An ``@v`` factor adds no letter: it only requires the word to pass through
+    ``v`` there.  Every token is checked left to right, also after a
+    non-composable junction, so an unknown id is reported whatever the value.
+    """
+    table = ctx.graph.step_table()
+    steps = []
+    at = None  # the vertex reached so far; None before the first factor
+    composable = True
+    for tok in tokens:
+        if tok.startswith("@"):
+            start = end = tok[1:]
+            ctx.graph.require_vertex(start)
+        else:
+            step = SignedEdge(tok[:-1], True) if tok.endswith("*") else SignedEdge(tok)
+            start, end = table[step][:2]
+            steps.append(step)
+        composable = composable and at in (None, start)
+        at = end
+    if not composable:
+        return zero(ctx)
+    return reduce_word(ctx, steps, coeff, base=at)

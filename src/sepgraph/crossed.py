@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import scalars
 from .algebra import (
@@ -299,7 +299,6 @@ def verify_iso(
     labeling: Labeling,
     sample_count: int = 100,
     seed: int = 0,
-    base_ctx: Optional[LeavittContext] = None,
 ) -> IsoReport:
     """Check the skew-product/crossed-product dictionary exhaustively on
     generators and on random basis pairs.
@@ -315,8 +314,7 @@ def verify_iso(
     group = labeling.group
     if not group.is_finite:
         raise GroupError(f"verification needs a finite group, got {group}")
-    if base_ctx is None:
-        base_ctx = LeavittContext(graph)
+    base_ctx = LeavittContext(graph)
     skew = skew_product(graph, labeling)
     ctx = skew_context(skew, base_ctx)
     gens = psi_on_generators(skew, ctx)

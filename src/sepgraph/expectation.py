@@ -250,10 +250,6 @@ def expect(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(ctx, accumulate({}, vertex_terms()))
 
 
-def is_vertex_supported(x: AlgebraElement) -> bool:
-    return all(w.is_vertex for w in x.terms)
-
-
 # -- the ordinary-graph oracle ---------------------------------------------------
 
 

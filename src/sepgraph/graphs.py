@@ -273,12 +273,6 @@ def forward_path(graph: SeparatedGraph, edge_ids: Sequence[str]) -> GraphPath:
     return path
 
 
-def concat_paths(graph: SeparatedGraph, first: GraphPath, second: GraphPath) -> GraphPath:
-    if first.range(graph) != second.source(graph):
-        raise GraphError("paths do not compose")
-    return GraphPath(first.source(graph), first.steps + second.steps)
-
-
 # -- morphisms ---------------------------------------------------------------
 
 

@@ -73,6 +73,13 @@ class GroupElement:
         return f"<{self}>"
 
 
+def _require_int(raw, what: str) -> int:
+    """``raw`` itself if it is an int; a bool or a float is no group value."""
+    if type(raw) is not int:
+        raise GroupError(f"{what} must be an int, got {raw!r}")
+    return raw
+
+
 class Group:
     """Shared behaviour; concrete groups implement the ``_``-prefixed hooks."""
 
@@ -100,10 +107,11 @@ class Group:
         raise NotImplementedError
 
     def from_literal(self, literal) -> GroupElement:
-        """Accept the JSON form of an element (int, string, or list)."""
+        """Accept the JSON form of an element: a string literal, or a raw value
+        as :meth:`element` takes it (int, list of pairs, or list)."""
         if isinstance(literal, str):
             return self.parse(literal)
-        return self.element(self._from_json(literal))
+        return self.element(literal)
 
     def to_literal(self, el: GroupElement):
         return self._to_json(el.value)
@@ -137,6 +145,7 @@ class FreeGroup(Group):
         for gen, exp in raw:
             if gen not in self.generators:
                 raise GroupError(f"unknown generator {gen!r}")
+            _require_int(exp, "exponent")
             if exp == 0:
                 continue
             sign = 1 if exp > 0 else -1
@@ -159,9 +168,6 @@ class FreeGroup(Group):
             else:
                 raw.append((token, 1))
         return self._normalize(raw)
-
-    def _from_json(self, literal):
-        return [(gen, int(exp)) for gen, exp in literal]
 
     def _to_json(self, value):
         return self.format_value(value)
@@ -187,18 +193,13 @@ class IntegerGroup(Group):
         return -a
 
     def _normalize(self, raw):
-        if not isinstance(raw, int):
-            raise GroupError(f"integer group element must be an int, got {raw!r}")
-        return raw
+        return _require_int(raw, "integer group element")
 
     def format_value(self, value) -> str:
         return str(value)
 
     def _parse(self, text):
         return int(text)
-
-    def _from_json(self, literal):
-        return int(literal)
 
     def _to_json(self, value):
         return value
@@ -214,7 +215,7 @@ class CyclicGroup(Group):
     is_finite = True
 
     def __post_init__(self):
-        if not isinstance(self.modulus, int) or self.modulus <= 0:
+        if type(self.modulus) is not int or self.modulus <= 0:  # bool and float are out
             raise GroupError(f"a cyclic group needs a positive modulus, got {self.modulus!r}")
 
     def _identity(self):
@@ -227,9 +228,7 @@ class CyclicGroup(Group):
         return (-a) % self.modulus
 
     def _normalize(self, raw):
-        if not isinstance(raw, int):
-            raise GroupError(f"residue must be an int, got {raw!r}")
-        return raw % self.modulus
+        return _require_int(raw, "residue") % self.modulus
 
     def _values(self):
         return list(range(self.modulus))
@@ -239,9 +238,6 @@ class CyclicGroup(Group):
 
     def _parse(self, text):
         return int(text) % self.modulus
-
-    def _from_json(self, literal):
-        return int(literal)
 
     def _to_json(self, value):
         return value
@@ -288,7 +284,7 @@ class ProductGroup(Group):
         raw = tuple(raw)
         if len(raw) != len(self.factors):
             raise GroupError(f"expected {len(self.factors)} components, got {len(raw)}")
-        return tuple(f._normalize(x) for f, x in zip(self.factors, raw))
+        return tuple(f.from_literal(x).value for f, x in zip(self.factors, raw))
 
     def _values(self):
         return [tuple(v) for v in itertools.product(*(f._values() for f in self.factors))]
@@ -303,11 +299,6 @@ class ProductGroup(Group):
         if len(parts) != len(self.factors):
             raise GroupError(f"expected {len(self.factors)} components in {text!r}")
         return tuple(f._parse(p.strip()) for f, p in zip(self.factors, parts))
-
-    def _from_json(self, literal):
-        return tuple(
-            f.from_literal(part).value for f, part in zip(self.factors, literal)
-        )
 
     def _to_json(self, value):
         return [f._to_json(x) for f, x in zip(self.factors, value)]
@@ -334,16 +325,16 @@ def group_to_json(group: Group) -> dict:
 def group_from_json(data: dict) -> Group:
     try:
         kind = data["type"]
+        if kind == "free":
+            return FreeGroup(tuple(data["generators"]))
+        if kind == "z":
+            return IntegerGroup()
+        if kind == "zmod":
+            return CyclicGroup(data["n"])
+        if kind == "product":
+            return ProductGroup(tuple(group_from_json(f) for f in data["factors"]))
     except (KeyError, TypeError) as exc:
         raise GroupError(f"malformed group spec: {exc}") from None
-    if kind == "free":
-        return FreeGroup(tuple(data["generators"]))
-    if kind == "z":
-        return IntegerGroup()
-    if kind == "zmod":
-        return CyclicGroup(int(data["n"]))
-    if kind == "product":
-        return ProductGroup(tuple(group_from_json(f) for f in data["factors"]))
     raise GroupError(f"unknown group type {kind!r}")
 
 
@@ -606,10 +597,10 @@ def is_equivariant_iso(result: GrossTuckerResult, action: GraphAction) -> bool:
 # -- Cayley separated graphs ---------------------------------------------------
 
 
-def bouquet_graph(n: int, vertex: str = "v", prefix: str = "a") -> SeparatedGraph:
-    """One vertex with n loops, each loop its own singleton cell."""
-    edges = [Edge(f"{prefix}{i}", vertex, vertex) for i in range(1, n + 1)]
-    return SeparatedGraph([vertex], edges, {vertex: [[e.id] for e in edges]})
+def bouquet_graph(n: int) -> SeparatedGraph:
+    """One vertex ``v`` with n loops ``a1 .. an``, each loop its own singleton cell."""
+    edges = [Edge(f"a{i}", "v", "v") for i in range(1, n + 1)]
+    return SeparatedGraph(["v"], edges, {"v": [[e.id] for e in edges]})
 
 
 def cayley_separated_graph(group: Group, generators: Sequence[GroupElement]) -> SkewProduct:

@@ -92,12 +92,12 @@ def random_normal_word(
     return NormalWord.of_vertex(rng.choice(graph.vertices))
 
 
-def random_coefficient(rng: random.Random, with_imaginary: bool = True) -> GaussianRational:
+def random_coefficient(rng: random.Random) -> GaussianRational:
     def rat():
         return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
 
     re = rat()
-    im = rat() if with_imaginary and rng.random() < 0.4 else Fraction(0)
+    im = rat() if rng.random() < 0.4 else Fraction(0)
     if not re and not im:
         re = Fraction(1)
     return GaussianRational(re, im)

@@ -117,10 +117,7 @@ def _canonical(a: int, b: int, d: int) -> GaussianRational:
     return z
 
 
-ZERO = GaussianRational.of(0)
 ONE = GaussianRational.of(1)
-MINUS_ONE = GaussianRational.of(-1)
-I = GaussianRational.of(0, 1)
 
 
 def _parse_imag(token: str) -> Fraction:

@@ -1,9 +1,12 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepgraph import algebra
 from sepgraph.algebra import (
     AlgebraError,
     LeavittContext,
@@ -15,7 +18,6 @@ from sepgraph.algebra import (
     forbidden_pair,
     from_word,
     induced_automorphism,
-    is_homogeneous,
     is_normal,
     parse_element,
     rebase,
@@ -25,7 +27,7 @@ from sepgraph.algebra import (
     word_degree,
     zero,
 )
-from sepgraph.graphs import Edge, SeparatedGraph, SignedEdge, skew_product
+from sepgraph.graphs import Edge, GraphError, SeparatedGraph, SignedEdge, skew_product
 from sepgraph.groups import (
     CyclicGroup,
     bouquet_graph,
@@ -50,6 +52,7 @@ def bouquet(n):
 
 
 PAIR = SeparatedGraph(["v"], [("e1", "v", "v"), ("e2", "v", "v")], {"v": [["e1", "e2"]]})
+TWO_VERTICES = SeparatedGraph(["u", "w"], [("b", "u", "w")], {"u": [["b"]], "w": []})
 
 
 def fwd(e):
@@ -153,6 +156,31 @@ def test_deep_cancellation_reduces_without_recursion(strategy):
     ctx = LeavittContext(bouquet_graph(2))
     steps = (bwd("a1"),) * n + (fwd("a1"),) * n
     assert reduce_word(ctx, steps, strategy=strategy) == vertex_element(ctx, "v")
+
+
+def test_reducing_distinct_words_retains_no_memory_in_the_context():
+    rng = random.Random(3)
+    ctx = LeavittContext(PAIR)
+    letters = [fwd("e1"), fwd("e2"), bwd("e1"), bwd("e2")]
+    words = set()
+    while len(words) < 2000:
+        words.add(tuple(rng.choice(letters) for _ in range(rng.randint(2, 12))))
+    reduce_word(ctx, (fwd("e1"),))  # the graph's step table is built before the count
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for steps in words:
+            for strategy in ("leftmost", "rightmost"):
+                reduce_word(ctx, steps, strategy=strategy)
+        x = edge_element(ctx, "e1")
+        for steps in words:
+            from_word(ctx, NormalWord.of_steps(steps[:2])) * x
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 32 * 1024
 
 
 def test_contexts_share_the_graph_table_but_rewrite_by_their_own_choice():
@@ -337,6 +365,75 @@ def test_literal_products_fold_projections():
     assert parse_element(ctx, "e1* e1") == vertex_element(ctx, "v")
 
 
+@pytest.mark.parametrize("k", [1, 2, 9, 60])
+def test_a_literal_term_is_rewritten_once(monkeypatch, k):
+    ctx = LeavittContext(PAIR)
+    fold = algebra._fold
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return fold(*args)
+
+    monkeypatch.setattr(algebra, "_fold", counting)
+    letters = ["e1", "e2", "e1*", "e2*", "@v"]
+    tokens = [letters[i % 5] for i in range(k)]
+    parse_element(ctx, "2 * " + " ".join(tokens))
+    assert len(calls) == 1
+    calls.clear()
+    parse_element(ctx, " ".join(tokens) + " - e2* " + " ".join(tokens))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_literal_terms_are_the_products_of_their_factors(seed):
+    rng = random.Random(seed)
+    graph = random_separated_graph(rng, max_vertices=3, max_edges=5)
+    ctx = LeavittContext(graph)
+    factors = {f"@{v}": vertex_element(ctx, v) for v in graph.vertices}
+    for e in graph.edges:
+        factors[e.id] = edge_element(ctx, e.id)
+        factors[f"{e.id}*"] = edge_element(ctx, e.id, star=True)
+    tokens = sorted(factors)
+    parts, expected = [], []
+    for _ in range(rng.randint(1, 3)):
+        coeff = random_coefficient(rng)
+        term = [rng.choice(tokens) for _ in range(rng.randint(1, 7))]
+        parts.append(f"{coeff} * {' '.join(term)}")
+        value = factors[term[0]]
+        for tok in term[1:]:
+            value = value * factors[tok]
+        expected.append(value.scale(coeff))
+    assert parse_element(ctx, " + ".join(parts)) == sum_of(ctx, expected)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("e1 @w e2", "unknown vertex id 'w'"),
+        ("e3 @w", "unknown edge id 'e3'"),
+        ("@w e3", "unknown vertex id 'w'"),
+        ("@v e1 e3*", "unknown edge id 'e3'"),
+        ("e1 + e2 @v @x", "unknown vertex id 'x'"),
+        ("e1 e2 *", "unknown edge id ''"),
+    ],
+)
+def test_literal_ids_are_checked_left_to_right(text, message):
+    ctx = LeavittContext(PAIR)
+    with pytest.raises(GraphError, match=message):
+        parse_element(ctx, text)
+
+
+def test_unknown_ids_after_a_non_composable_junction_still_raise():
+    ctx = LeavittContext(TWO_VERTICES)
+    assert parse_element(ctx, "@u @w").is_zero
+    assert parse_element(ctx, "b b").is_zero
+    with pytest.raises(GraphError, match="unknown edge id 'c'"):
+        parse_element(ctx, "b b c")
+    with pytest.raises(GraphError, match="unknown vertex id 'x'"):
+        parse_element(ctx, "@w b @x")
+
+
 # -- confluence --------------------------------------------------------------------
 
 
@@ -414,7 +511,7 @@ def test_component_keeps_exactly_the_degree():
     parts = decompose(x, labeling)
     total = zero(ctx)
     for part in parts.values():
-        assert is_homogeneous(part, labeling)
+        assert len(decompose(part, labeling)) == 1
         total = total + part
     assert total == x
 

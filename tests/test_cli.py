@@ -238,6 +238,29 @@ def test_bad_group_or_labeling_exits_2(capsys, a2_file, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "label,argv",
+    [
+        ({"a1": 2.5, "a2": 1}, ["skew", "--graph", "{a2}", "--group", "zmod:3", "--label", "{label}"]),
+        ({"a1": True, "a2": 1}, ["skew", "--graph", "{a2}", "--group", "zmod:3", "--label", "{label}"]),
+        (
+            {"a1": [["x", 1.7]], "a2": "y"},
+            ["grade", "--graph", "{a2}", "--group", "free:x,y", "--label", "{label}", "a1"],
+        ),
+        (None, ["cayley", "--group", '{{"type": "zmod", "n": 2.5}}', "--generators", "1"]),
+    ],
+    ids=["float-residue", "bool-residue", "float-exponent", "float-modulus"],
+)
+def test_non_integer_json_group_values_exit_2(capsys, a2_file, tmp_path, label, argv):
+    path = tmp_path / "label.json"
+    path.write_text(json.dumps(label))
+    code, out, err = run(capsys, *[arg.format(a2=a2_file, label=path) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "must be an int" in err or "positive modulus" in err
+
+
 def test_outputs_are_deterministic(capsys, a2_file):
     _, first, _ = run(capsys, "cayley", "--group", "zmod:3", "--generators", "1,2")
     _, second, _ = run(capsys, "cayley", "--group", "zmod:3", "--generators", "1,2")

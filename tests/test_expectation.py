@@ -18,7 +18,6 @@ from sepgraph.expectation import (
     beta_element,
     cell_subgraph,
     expect,
-    is_vertex_supported,
     n_mu,
     phi_ordinary,
     weakly_reduce,
@@ -122,7 +121,7 @@ def test_expectation_is_vertex_supported_and_linear():
     ctx = LeavittContext(fig5())
     x = parse_element(ctx, "2 * be1 be1* + i * al1 al1*")
     value = expect(x)
-    assert is_vertex_supported(value)
+    assert all(w.is_vertex for w in value.terms)
     assert value == parse_element(ctx, "1+1/2i * @v")
 
 

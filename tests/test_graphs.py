@@ -14,7 +14,6 @@ from sepgraph.graphs import (
     SignedEdge,
     check_isomorphism,
     check_path,
-    concat_paths,
     forward_path,
     graph_from_json,
     graph_to_json,
@@ -223,7 +222,7 @@ def test_skew_path_respects_concatenation():
     mu = forward_path(TWO_CYCLE, ["a"])
     nu = forward_path(TWO_CYCLE, ["b", "a"])
     g = z3.element(2)
-    whole = skew_path(skew, concat_paths(TWO_CYCLE, mu, nu), g)
+    whole = skew_path(skew, GraphPath(mu.base, mu.steps + nu.steps), g)
     first = skew_path(skew, mu, g)
     second = skew_path(skew, nu, g * skew.labeling.of_word(mu.steps))
     assert whole.steps == first.steps + second.steps

@@ -182,6 +182,47 @@ def test_malformed_labeling_json_is_a_group_error(data):
         labeling_from_json(Z3, data)
 
 
+@pytest.mark.parametrize(
+    "group,literal",
+    [
+        (Z3, 2.5),
+        (Z3, True),
+        (Z3, 1.0),
+        (IntegerGroup(), 2.5),
+        (IntegerGroup(), False),
+        (F2, [["a", 1.7]]),
+        (F2, [["a", True]]),
+        (ProductGroup((Z3, F2)), [1.5, "a"]),
+        (ProductGroup((Z3, Z3)), [1, 0, 1]),
+    ],
+)
+def test_json_group_values_are_ints_not_bools_or_floats(group, literal):
+    with pytest.raises(GroupError):
+        group.from_literal(literal)
+    with pytest.raises(GroupError):
+        labeling_from_json(group, {"e": literal})
+
+
+@pytest.mark.parametrize("modulus", [2.5, True, "3"])
+def test_zmod_spec_needs_an_int_modulus(modulus):
+    with pytest.raises(GroupError, match="positive modulus"):
+        group_from_json({"type": "zmod", "n": modulus})
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"type": "zmod"},
+        {"type": "free", "generators": 3},
+        {"type": "product", "factors": 3},
+        {"type": "product", "factors": [{"type": "zmod"}]},
+    ],
+)
+def test_group_spec_missing_or_mistyped_fields_are_group_errors(spec):
+    with pytest.raises(GroupError, match="malformed group spec"):
+        group_from_json(spec)
+
+
 # -- actions ---------------------------------------------------------------------
 
 
