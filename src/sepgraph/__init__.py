@@ -16,8 +16,9 @@ The package is organized around five layers:
   a labeling, the skew-product isomorphism on basis elements, and its
   verification for finite groups.
 
-All values are immutable and all operations are pure; everything is computed
-with exact rational arithmetic.
+Elements, words and group elements are never changed once built.  Contexts
+and graphs memoize: a context keeps ``expect_cache`` and ``compatible_with``,
+and a graph builds its step table on first use.  All arithmetic is exact.
 """
 
 from .scalars import GaussianRational

@@ -97,10 +97,10 @@ class LeavittContext:
             choice.update(ex_choice)
         self._chosen = set()
         for (v, i), eid in choice.items():
-            cell = graph.cell_edges(v, i)
-            if eid not in cell:
+            cells = graph.cells(v)
+            if type(i) is not int or not 0 <= i < len(cells) or eid not in cells[i]:
                 raise AlgebraError(
-                    f"chosen edge {eid!r} is not in cell {i} at vertex {v!r}"
+                    f"chosen edge {eid!r} is not in cell {i!r} at vertex {v!r}"
                 )
             self._chosen.add(eid)
         self.ex_choice = choice
@@ -125,11 +125,6 @@ def default_ex_choice(graph: SeparatedGraph) -> dict:
         for v in graph.vertices
         for i, cell in enumerate(graph.cells(v))
     }
-
-
-def _require_context(ctx: LeavittContext, x: "AlgebraElement") -> None:
-    if not ctx.same_context(x.ctx):
-        raise AlgebraError("elements live over different graph/choice contexts")
 
 
 def forbidden_pair(ctx: LeavittContext, a: SignedEdge, b: SignedEdge) -> bool:
@@ -253,18 +248,26 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
-def sum_of(ctx: LeavittContext, elements) -> "AlgebraElement":
-    """The sum of elements over ``ctx`` in one pass, linear in the terms read;
-    a summand over another context raises :class:`AlgebraError` as ``+`` does."""
+def sum_of(ctx: LeavittContext, elements) -> "LinearCombination":
+    """The sum of elements of one type over ``ctx`` in one pass, linear in the
+    terms read; a summand ``+`` would reject raises :class:`AlgebraError`, and
+    an empty sum is the zero of L(E,C)."""
     acc = {}
+    empty = None  # the zero of the summands' type over ctx
     for x in elements:
-        _require_context(ctx, x)
+        if empty is None:
+            empty = x._like(ctx, {})
+        empty._require_same_context(x)
         accumulate(acc, x.terms.items())
-    return AlgebraElement(ctx, acc)
+    return AlgebraElement(ctx, acc) if empty is None else empty._like(ctx, acc)
 
 
-class AlgebraElement:
-    """A finite linear combination of normal words with Q(i) coefficients."""
+class LinearCombination:
+    """A finite Q(i)-linear combination of basis keys over one context; zero
+    coefficients are dropped on construction.  A subclass adds ``_like(ctx,
+    terms)``, a combination of its type over ``ctx``, and its context rule
+    ``_context_mismatch(other)``: why ``other`` is not over the same context,
+    or None.  ``==``, ``+``, :func:`sum_of` and the products all apply it."""
 
     __slots__ = ("ctx", "terms")
 
@@ -272,33 +275,50 @@ class AlgebraElement:
         self.ctx = ctx
         self.terms = {w: c for w, c in terms.items() if c}
 
+    def _require_same_context(self, other) -> None:
+        reason = self._context_mismatch(other)
+        if reason is not None:
+            raise AlgebraError(reason)
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.ctx.same_context(other.ctx)
-            and self.terms == other.terms
-        )
+        return self._context_mismatch(other) is None and self.terms == other.terms
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
         return sum_of(self.ctx, (self, other))
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.ctx, {w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return self._like(self.ctx, {w: -c for w, c in self.terms.items()})
 
-    def scale(self, factor) -> "AlgebraElement":
+    def scale(self, factor):
         if isinstance(factor, (int, Fraction)):
             factor = GaussianRational.of(factor)
-        return AlgebraElement(self.ctx, {w: c * factor for w, c in self.terms.items()})
+        return self._like(self.ctx, {w: c * factor for w, c in self.terms.items()})
+
+    def __repr__(self) -> str:
+        return f"<{element_literal(self)}>"
+
+
+class AlgebraElement(LinearCombination):
+    """A finite linear combination of normal words with Q(i) coefficients."""
+
+    __slots__ = ()
+
+    def _context_mismatch(self, other) -> Optional[str]:
+        same = isinstance(other, AlgebraElement) and self.ctx.same_context(other.ctx)
+        return None if same else "elements live over different graph/choice contexts"
+
+    def _like(self, ctx: LeavittContext, terms: dict) -> "AlgebraElement":
+        return AlgebraElement(ctx, terms)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_context(self.ctx, other)
+        self._require_same_context(other)
         ctx = self.ctx
         table = ctx.graph.step_table()
         # a term pair composes iff the left word's range is the right word's
@@ -334,9 +354,6 @@ class AlgebraElement:
         reversal is injective on words, so no two terms meet."""
         terms = {w.adjoint(): c.conjugate() for w, c in self.terms.items()}
         return AlgebraElement(self.ctx, terms)
-
-    def __repr__(self) -> str:
-        return f"<{element_literal(self)}>"
 
 
 def zero(ctx: LeavittContext) -> AlgebraElement:
@@ -422,8 +439,8 @@ def induced_automorphism(
 # -- literals -------------------------------------------------------------------
 
 
-def element_literal(x: AlgebraElement) -> str:
-    """Canonical text form: terms sorted by word literal, ``0`` when empty."""
+def element_literal(x: LinearCombination) -> str:
+    """Canonical text form: terms sorted by basis-key literal, ``0`` when empty."""
     if x.is_zero:
         return "0"
     parts = []

@@ -74,19 +74,19 @@ def _load_graph(path: str):
 
 
 def _load_group(spec: str):
-    """A group spec: inline shorthand (z, zmod:3, free:a,b), a JSON literal,
-    or a path to a JSON file."""
+    """A group spec, tried in this order: an inline shorthand (z, zmod:3,
+    free:a,b), a JSON literal, a path to a JSON file."""
     spec = spec.strip()
-    if spec.startswith("{"):
-        return group_from_json(json.loads(spec))
-    if os.path.exists(spec):
-        return group_from_json(_load_json(spec))
     if spec == "z":
         return IntegerGroup()
     if spec.startswith("zmod:"):
         return CyclicGroup(int(spec.split(":", 1)[1]))
     if spec.startswith("free:"):
         return FreeGroup(tuple(spec.split(":", 1)[1].split(",")))
+    if spec.startswith("{"):
+        return group_from_json(json.loads(spec))
+    if os.path.exists(spec):
+        return group_from_json(_load_json(spec))
     raise InputError(f"unrecognized group spec {spec!r}")
 
 

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from . import scalars
 from .algebra import (
     AlgebraElement,
     AlgebraError,
     LeavittContext,
+    LinearCombination,
     NormalWord,
     accumulate,
     edge_element,
@@ -48,49 +49,28 @@ class CrossedWord(NamedTuple):
         return f"({self.word.literal()} ; {self.slot})"
 
 
-class CrossedElement:
+class CrossedElement(LinearCombination):
     """A finite linear combination of crossed words over one base context."""
 
-    __slots__ = ("ctx", "labeling", "terms")
+    __slots__ = ("labeling",)
 
     def __init__(self, ctx: LeavittContext, labeling: Labeling, terms: dict):
-        self.ctx = ctx
+        super().__init__(ctx, terms)
         self.labeling = labeling
-        self.terms = {w: c for w, c in terms.items() if c}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
+    def _context_mismatch(self, other) -> Optional[str]:
+        if not (
             isinstance(other, CrossedElement)
             and self.ctx.same_context(other.ctx)
             and self.labeling.group == other.labeling.group
-            and (
-                self.labeling is other.labeling
-                or self.labeling.by_edge == other.labeling.by_edge
-            )
-            and self.terms == other.terms
-        )
+        ):
+            return "crossed elements live over different contexts"
+        if self.labeling is not other.labeling and self.labeling.by_edge != other.labeling.by_edge:
+            return "crossed elements carry different labelings"
+        return None
 
-    def __add__(self, other: "CrossedElement") -> "CrossedElement":
-        _same_crossed_context(self, other)
-        terms = accumulate(dict(self.terms), other.terms.items())
-        return CrossedElement(self.ctx, self.labeling, terms)
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "<0>"
-        parts = sorted(f"{c} * {w.literal()}" for w, c in self.terms.items())
-        return "<" + " + ".join(parts) + ">"
-
-
-def _same_crossed_context(x: CrossedElement, y: CrossedElement) -> None:
-    if not x.ctx.same_context(y.ctx) or x.labeling.group != y.labeling.group:
-        raise AlgebraError("crossed elements live over different contexts")
-    if x.labeling.by_edge != y.labeling.by_edge:
-        raise AlgebraError("crossed elements carry different labelings")
+    def _like(self, ctx: LeavittContext, terms: dict) -> "CrossedElement":
+        return CrossedElement(ctx, self.labeling, terms)
 
 
 def crossed_element(
@@ -101,7 +81,7 @@ def crossed_element(
 
 def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     """The covariance product, bilinear over crossed words."""
-    _same_crossed_context(x, y)
+    x._require_same_context(y)
     ctx = x.ctx
     labeling = x.labeling
     acc = {}
@@ -184,8 +164,7 @@ def phi_map(
         slot = group._inv(group._mul(g.value, labeling.of_word(steps).value))
         return CrossedWord(NormalWord.of_steps(steps), GroupElement(group, slot))
 
-    terms = accumulate({}, ((crossed_word(w), c) for w, c in x.terms.items()))
-    return CrossedElement(base_ctx, labeling, terms)
+    return CrossedElement(base_ctx, labeling, {crossed_word(w): c for w, c in x.terms.items()})
 
 
 def phi_inverse_word(
@@ -264,11 +243,7 @@ def psi_apply(gens: PsiGenerators, x: CrossedElement, skew_ctx: LeavittContext) 
 def slot_translate(x: CrossedElement, z: GroupElement) -> CrossedElement:
     """The dual translation on slots, (b, h) -> (b, h z^-1)."""
     zinv = z.inverse()
-    return CrossedElement(
-        x.ctx,
-        x.labeling,
-        {CrossedWord(cw.word, cw.slot * zinv): c for cw, c in x.terms.items()},
-    )
+    return x._like(x.ctx, {CrossedWord(cw.word, cw.slot * zinv): c for cw, c in x.terms.items()})
 
 
 # -- verification -----------------------------------------------------------------
@@ -311,6 +286,8 @@ def verify_iso(
     from .graphs import skew_product
     from .sampling import random_normal_word
 
+    if sample_count < 0:
+        raise ValueError(f"the sample count must be at least 0, got {sample_count}")
     group = labeling.group
     if not group.is_finite:
         raise GroupError(f"verification needs a finite group, got {group}")

@@ -326,7 +326,10 @@ def group_from_json(data: dict) -> Group:
     try:
         kind = data["type"]
         if kind == "free":
-            return FreeGroup(tuple(data["generators"]))
+            names = data["generators"]
+            if not isinstance(names, list) or not all(isinstance(g, str) for g in names):
+                raise TypeError(f"free generators must be a list of strings, got {names!r}")
+            return FreeGroup(tuple(names))
         if kind == "z":
             return IntegerGroup()
         if kind == "zmod":
@@ -384,9 +387,9 @@ def labeling_from_json(group: Group, data: dict) -> Labeling:
     for eid, lit in data.items():
         try:
             by_edge[eid] = group.from_literal(lit)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, GroupError) as exc:
             raise GroupError(
-                f"label of edge {eid!r} is not an element of {group}: {lit!r}"
+                f"label of edge {eid!r} is not an element of {group}: {lit!r} ({exc})"
             ) from None
     return Labeling(group, by_edge)
 

@@ -259,6 +259,33 @@ def test_non_integer_json_group_values_exit_2(capsys, a2_file, tmp_path, label, 
     assert out == ""
     assert err.startswith("error:")
     assert "must be an int" in err or "positive modulus" in err
+    if label is not None:
+        assert "'a1'" in err  # the edge whose label is bad
+
+
+@pytest.mark.parametrize("samples,code", [("-3", 2), ("0", 0)])
+def test_verify_samples_must_not_be_negative(capsys, a2_file, tmp_path, samples, code):
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"a1": 1, "a2": 1}))
+    argv = ["verify-crossed-iso", "--graph", a2_file, "--group", "zmod:2", "--label", str(label)]
+    status, out, err = run(capsys, *argv, "--samples", samples, "--seed", "1")
+    assert status == code
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert out.startswith("PASS") and "0 sampled identities" in out
+
+
+def test_group_shorthand_comes_before_a_same_named_path(capsys, a2_file, tmp_path, monkeypatch):
+    (tmp_path / "z").mkdir()
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"a1": 1, "a2": 0}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(
+        capsys, "grade", "--graph", a2_file, "--group", "z", "--label", str(label), "a1 a2"
+    )
+    assert code == 0, err
+    assert json.loads(out) == {"1": "1 * a1 a2"}
 
 
 def test_outputs_are_deterministic(capsys, a2_file):
@@ -278,6 +305,11 @@ def test_outputs_are_deterministic(capsys, a2_file):
         ({"g": {**A2, "vertices": [["v"]]}}, ["star", "--graph", "{g}", "a1"]),
         ({"act": {"group": {"type": "zmod", "n": 2}, "table": []}},
          ["quotient", "--graph", "{a2}", "--action", "{act}"]),
+        ({"choice": {"v": ["a1", "a2", "a1"]}},
+         ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"]),
+        ({"lab": {"a1": "a", "a2": "b"}},
+         ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": "ab"}}',
+          "--label", "{lab}", "a1 a2"]),
     ],
 )
 def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):

@@ -1,14 +1,17 @@
+import operator
 import random
 
 import pytest
 
 from sepgraph import crossed
 from sepgraph.algebra import (
+    AlgebraElement,
     AlgebraError,
     LeavittContext,
     NormalWord,
     edge_element,
     from_word,
+    sum_of,
     vertex_element,
 )
 from sepgraph.crossed import (
@@ -103,6 +106,76 @@ def test_crossed_elements_with_different_labelings_are_unequal():
     x = vert(ctx, "v", zero, first)
     assert x != vert(ctx, "v", zero, second)
     assert x == vert(ctx, "v", zero, Labeling(Z2, dict(first.by_edge)))
+
+
+def _other_side(variant):
+    """(ctx, labeling, other ctx, other labeling) for one way two elements differ."""
+    ctx = LeavittContext(FOUR)
+    labeling = Labeling(Z2, {e.id: Z2.element(1) for e in FOUR.edges})
+    other_ctx, other_labeling = ctx, labeling
+    if variant == "equal":  # equal but distinct context and labeling
+        other_ctx, other_labeling = LeavittContext(FOUR), Labeling(Z2, dict(labeling.by_edge))
+    elif variant == "by_edge":
+        other_labeling = Labeling(Z2, {**labeling.by_edge, "y2": Z2.element(0)})
+    elif variant == "group":
+        other_labeling = Labeling(Z3, {eid: Z3.element(1) for eid in labeling.by_edge})
+    elif variant == "choice":
+        other_ctx = LeavittContext(FOUR, {("v", 0): "x2"})
+    elif variant == "graph":
+        other_ctx = LeavittContext(LOOP)
+    return ctx, labeling, other_ctx, other_labeling
+
+
+@pytest.mark.parametrize(
+    "kind,variant,accepted",
+    [
+        ("algebra", "same", True),
+        ("algebra", "equal", True),
+        ("algebra", "by_edge", True),
+        ("algebra", "group", True),
+        ("algebra", "choice", False),
+        ("algebra", "graph", False),
+        ("crossed", "same", True),
+        ("crossed", "equal", True),
+        ("crossed", "by_edge", False),
+        ("crossed", "group", False),
+        ("crossed", "choice", False),
+        ("crossed", "graph", False),
+        ("mixed", "same", False),
+    ],
+)
+def test_eq_add_sum_and_products_accept_the_same_pairs(kind, variant, accepted):
+    ctx, labeling, other_ctx, other_labeling = _other_side(variant)
+    word = NormalWord.of_steps((SignedEdge("x1"),))
+    x = crossed_element(ctx, labeling, word, Z2.element(1))
+    y = CrossedElement(other_ctx, other_labeling, dict(x.terms))  # the same terms
+    if kind != "crossed":
+        x = edge_element(ctx, "x1")
+        if kind == "algebra":
+            y = AlgebraElement(other_ctx, dict(x.terms))
+    assert (x == y) is accepted and (y == x) is accepted
+
+    def product(a, b):
+        return a * b if isinstance(a, AlgebraElement) else crossed_mul(a, b)
+
+    for op in (operator.add, lambda a, b: sum_of(a.ctx, (a, b)), product):
+        for a, b in ((x, y), (y, x)):
+            if accepted:
+                op(a, b)
+            else:
+                with pytest.raises(AlgebraError, match="different"):
+                    op(a, b)
+
+
+def test_crossed_elements_share_the_linear_operations():
+    group, labeling, ctx, _ = loop_setup(3)
+    word = NormalWord.of_steps((SignedEdge("a"),))
+    x = crossed_element(ctx, labeling, word, group.element(1))
+    y = crossed_element(ctx, labeling, word, group.element(2))
+    assert (x + y - x) == y and (-x + x).is_zero
+    assert x.scale(2) == x + x
+    assert repr(y + x) == "<1 * (a ; 1) + 1 * (a ; 2)>"
+    assert repr(x - x) == "<0>"
 
 
 def test_crossed_words_are_values():
@@ -375,6 +448,13 @@ def test_verify_iso_trivial_group():
     labeling = Labeling(group, {"a": group.identity()})
     report = verify_iso(LOOP, labeling, sample_count=20, seed=1)
     assert report.ok
+
+
+def test_verify_iso_rejects_a_negative_sample_count():
+    labeling = Labeling(Z2, {"a": Z2.element(1)})
+    with pytest.raises(ValueError, match="at least 0"):
+        verify_iso(LOOP, labeling, sample_count=-1)
+    assert verify_iso(LOOP, labeling, sample_count=0).sample_checks == 0
 
 
 def test_verify_iso_loop_z2():

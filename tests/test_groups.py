@@ -216,6 +216,8 @@ def test_zmod_spec_needs_an_int_modulus(modulus):
         {"type": "free", "generators": 3},
         {"type": "product", "factors": 3},
         {"type": "product", "factors": [{"type": "zmod"}]},
+        {"type": "free", "generators": "ab"},
+        {"type": "free", "generators": ["a", 1]},
     ],
 )
 def test_group_spec_missing_or_mistyped_fields_are_group_errors(spec):
