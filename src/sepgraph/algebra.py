@@ -146,25 +146,21 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     )
 
 
-def _fold(ctx: LeavittContext, steps: tuple, flip: bool) -> dict:
+def _fold(ctx: LeavittContext, steps: tuple) -> dict:
     """Rewrite a composable word to normal form; returns {NormalWord: +/-1}.
 
-    One stack pass per branch, leftmost redex first.
+    One stack pass per branch, leftmost redex first.  A normal word comes back
+    unchanged, so this is also the one way into the basis.
 
     The stack holds a normal prefix, so a rule can only fire between its top
     and the next letter: R1 pops, R2 kills the branch, and R3 pops ``e_X`` and
     queues, for every other ``f`` of the cell, a copy of the stack with ``f f*``
     pending before the rest of the input and the sign negated.
-
-    With ``flip`` the word is read right to left and each letter as its
-    adjoint; the rules are invariant under the adjoint, so this fires the
-    rightmost redex first.
     """
     table = ctx.graph.step_table()
     chosen = ctx._chosen
-    letters = steps[::-1] if flip else steps
     n = len(steps)
-    stack, pending, i, sign = [letters[0]], (), 1, 1
+    stack, pending, i, sign = [steps[0]], (), 1, 1
     fired = False
     work = []
     out = {}
@@ -173,34 +169,31 @@ def _fold(ctx: LeavittContext, steps: tuple, flip: bool) -> dict:
             if pending:
                 b, pending = pending[0], pending[1:]
             else:
-                b = letters[i]
+                b = steps[i]
                 i += 1
             if stack:
                 a = stack[-1]
-                if a.star != flip:
-                    if b.star == flip and table[a][2] == table[b][2]:
+                if a.star:
+                    if not b.star and table[a][2] == table[b][2]:
                         fired = True
                         if a.edge != b.edge:  # R2
                             sign = 0
                             break
                         stack.pop()  # R1
                         continue
-                elif b.star != flip and a.edge == b.edge and a.edge in chosen:  # R3
+                elif b.star and a.edge == b.edge and a.edge in chosen:  # R3
                     fired = True
                     stack.pop()
                     for f in reversed(table[a][3]):  # queued to run in cell order
                         if f != a.edge:
-                            branch = (SignedEdge(f, flip), SignedEdge(f, not flip)) + pending
+                            branch = (SignedEdge(f), SignedEdge(f, True)) + pending
                             work.append((stack[:], branch, i, -sign))
                     continue
             stack.append(b)
         if not fired:  # the word is normal as it stands
             return {NormalWord(None, steps): 1}
         if sign:
-            if not stack:
-                word = NormalWord(table[steps[0]][0], ())
-            else:
-                word = NormalWord(None, tuple(stack[::-1] if flip else stack))
+            word = NormalWord(None, tuple(stack)) if stack else NormalWord(table[steps[0]][0], ())
             out[word] = out.get(word, 0) + sign
         if not work:
             return {word: sign for word, sign in out.items() if sign}
@@ -218,6 +211,10 @@ def reduce_word(
 
     A word with a non-composable junction is zero.  An empty step sequence
     needs ``base`` and denotes the vertex projection there.
+
+    ``strategy="rightmost"``, for confluence checks, folds the adjoint word and
+    reads each result back through :meth:`NormalWord.adjoint`: the rules are
+    adjoint-invariant, so this fires the rightmost redex first.
     """
     steps = tuple(steps)
     if not steps:
@@ -230,8 +227,13 @@ def reduce_word(
     for a, b in zip(ends, ends[1:]):
         if a[1] != b[0]:
             return AlgebraElement(ctx, {})
+    if strategy == "leftmost":
+        signs = _fold(ctx, steps).items()
+    else:
+        adjoint = NormalWord(None, steps).adjoint().steps
+        signs = ((word.adjoint(), sign) for word, sign in _fold(ctx, adjoint).items())
     terms = {}
-    for word, sign in _fold(ctx, steps, strategy != "leftmost").items():
+    for word, sign in signs:
         terms[word] = coeff if sign == 1 else coeff * sign
     return AlgebraElement(ctx, terms)
 
@@ -341,7 +343,7 @@ class AlgebraElement(LinearCombination):
                 elif w2.vertex is not None:
                     signs = ((w1, 1),)
                 else:
-                    signs = _fold(ctx, w1.steps + w2.steps, False).items()
+                    signs = _fold(ctx, w1.steps + w2.steps).items()
                 for word, sign in signs:
                     prev = acc.get(word)
                     term = c if sign == 1 else c * sign
@@ -371,9 +373,7 @@ def edge_element(ctx: LeavittContext, edge_id: str, star: bool = False) -> Algeb
 
 
 def from_word(ctx: LeavittContext, word: NormalWord, coeff=scalars.ONE) -> AlgebraElement:
-    if not word.is_vertex and not is_normal(ctx, word.steps):
-        return reduce_word(ctx, word.steps, coeff)
-    return AlgebraElement(ctx, {word: coeff})
+    return reduce_word(ctx, word.steps, coeff, base=word.vertex)
 
 
 def rebase(x: AlgebraElement, ctx: LeavittContext) -> AlgebraElement:

@@ -58,18 +58,18 @@ from .graphs import GraphError, GraphPath, SeparatedGraph, SignedEdge
 _APPEND, _CANCEL, _KILL = range(3)
 
 
-def _junction(graph: SeparatedGraph, a: SignedEdge, b: SignedEdge) -> int:
-    """The weak rule for the adjacent letters ``a b``.
+def _junction(table: dict, a: SignedEdge, b: SignedEdge) -> int:
+    """The weak rule for the adjacent letters ``a b``, read off the step table.
 
     ``e* e`` cancels, ``e* f`` for distinct edges of one cell kills, and
     ``e e*`` cancels when the cell of ``e`` is a singleton; otherwise ``b`` is
     appended.
     """
     if a.star and not b.star:
-        if graph.cell_of(a.edge) == graph.cell_of(b.edge):
+        if table[a][2] == table[b][2]:
             return _CANCEL if a.edge == b.edge else _KILL
     elif not a.star and b.star and a.edge == b.edge:
-        if len(graph.cell_edges(*graph.cell_of(a.edge))) == 1:
+        if len(table[a][3]) == 1:
             return _CANCEL
     return _APPEND
 
@@ -77,44 +77,41 @@ def _junction(graph: SeparatedGraph, a: SignedEdge, b: SignedEdge) -> int:
 class _Prefixes:
     """The weakly reduced prefixes met while reading one word, hash-consed.
 
-    Letters are coded as small ints.  A prefix is a node: node 0 is the empty
-    prefix and every other node is its parent followed by one letter.  A weak
-    rule only ever fires at the junction with the new letter, so pushing a
-    letter is O(1), where a tuple prefix would be copied and rehashed.
+    A prefix is a node: node 0 is the empty prefix and every other node is its
+    parent followed by one signed edge.  A weak rule only ever fires at the
+    junction with the new letter, so pushing a letter is O(1), where a tuple
+    prefix would be copied and rehashed.  Each node memoizes its pushes: the
+    walk pushes the same letters onto the same nodes many times.
     """
 
-    def __init__(self, graph: SeparatedGraph, steps: Sequence[SignedEdge]):
-        self.graph = graph
-        index = {}
-        self.codes = [index.setdefault(s, len(index)) for s in steps]
-        self.letters = list({code: s for code, s in zip(self.codes, steps)}.values())
+    def __init__(self, table: dict):
+        self.table = table
         self._parent = [0]
         self._last = [None]
-        self._child = {}
-        self._rule = {}
+        self._next = [{}]
 
-    def push(self, node: int, code: int) -> Optional[int]:
+    def push(self, node: int, step: SignedEdge) -> Optional[int]:
         """The prefix followed by one letter; ``None`` means zero."""
-        top = self._last[node]
-        if top is not None:
-            rule = self._rule.get((top, code))
-            if rule is None:
-                rule = _junction(self.graph, self.letters[top], self.letters[code])
-                self._rule[top, code] = rule
+        known = self._next[node]
+        out = known.get(step, -1)
+        if out == -1:
+            top = self._last[node]
+            rule = _APPEND if top is None else _junction(self.table, top, step)
             if rule == _CANCEL:
-                return self._parent[node]
-            if rule == _KILL:
-                return None
-        child = self._child.get((node, code))
-        if child is None:
-            child = self._child[node, code] = len(self._last)
-            self._parent.append(node)
-            self._last.append(code)
-        return child
+                out = self._parent[node]
+            elif rule == _KILL:
+                out = None
+            else:
+                out = len(self._last)
+                self._parent.append(node)
+                self._last.append(step)
+                self._next.append({})
+            known[step] = out
+        return out
 
-    def extend(self, node: int, codes: Sequence[int]) -> Optional[int]:
-        for code in codes:
-            node = self.push(node, code)
+    def extend(self, node: int, steps: Sequence[SignedEdge]) -> Optional[int]:
+        for step in steps:
+            node = self.push(node, step)
             if node is None:
                 return None
         return node
@@ -122,7 +119,7 @@ class _Prefixes:
     def word(self, node: int) -> tuple:
         letters = []
         while node:
-            letters.append(self.letters[self._last[node]])
+            letters.append(self._last[node])
             node = self._parent[node]
         return tuple(reversed(letters))
 
@@ -132,9 +129,10 @@ def weakly_reduce(graph: SeparatedGraph, steps: Sequence[SignedEdge]) -> Optiona
 
     The result is a weakly reduced word (or the empty tuple for a vertex).
     """
+    table = graph.step_table()
     stack = []
     for step in steps:
-        rule = _junction(graph, stack[-1], step) if stack else _APPEND
+        rule = _junction(table, stack[-1], step) if stack else _APPEND
         if rule == _KILL:
             return None
         if rule == _CANCEL:
@@ -171,7 +169,7 @@ def _n_value(ctx: LeavittContext, steps: tuple) -> Fraction:
     return _n_reduced(ctx, reduced)
 
 
-def _walk_moves(prefixes: _Prefixes, states: dict, chunk: Sequence[int], size: int, pair: bool):
+def _walk_moves(prefixes: _Prefixes, states: dict, chunk: tuple, size: int, pair: bool):
     """The (node, coefficient) moves of one walk step: each node reads the chunk
     on (a kept pair scales by |X|) and, at a pair, also deletes it (sign -1)."""
     for node, coeff in states.items():
@@ -194,9 +192,8 @@ def _n_reduced(ctx: LeavittContext, steps: tuple) -> Fraction:
     pairs = set(_pair_occurrences(steps)) if _free_label_is_trivial(steps) else set()
     total = Fraction(0)
     if pairs:
-        graph = ctx.graph
-        prefixes = _Prefixes(graph, steps)
-        codes = prefixes.codes
+        table = ctx.graph.step_table()
+        prefixes = _Prefixes(table)
         # the choice that keeps every pair reads the word as it stands, which
         # is weakly reduced: its node is that of steps[:seen]; it only seeds the
         # deletions, since its own term drops
@@ -208,13 +205,13 @@ def _n_reduced(ctx: LeavittContext, steps: tuple) -> Fraction:
         states = {}
         scale = 1
         i = min(pairs)
-        while i < len(codes):
+        while i < len(steps):
             pair = i in pairs
-            chunk = codes[i : i + 2] if pair else codes[i : i + 1]
-            size = len(graph.cell_edges(*graph.cell_of(steps[i].edge))) if pair else 1
+            chunk = steps[i : i + 2] if pair else steps[i : i + 1]
+            size = len(table[steps[i]][3]) if pair else 1
             following = accumulate({}, _walk_moves(prefixes, states, chunk, size, pair))
             if pair:
-                original = prefixes.extend(original, codes[seen:i])
+                original = prefixes.extend(original, steps[seen:i])
                 seen = i
                 accumulate(following, ((original, -scale),))
             states = following
@@ -237,6 +234,7 @@ def expect(x: AlgebraElement) -> AlgebraElement:
     through the input coefficients).
     """
     ctx = x.ctx
+    table = ctx.graph.step_table()
 
     def vertex_terms():
         for word, coeff in x.terms.items():
@@ -245,7 +243,7 @@ def expect(x: AlgebraElement) -> AlgebraElement:
             else:
                 n = _n_value(ctx, word.steps)
                 if n:
-                    yield NormalWord.of_vertex(ctx.graph.source(word.steps[0])), coeff * n
+                    yield NormalWord.of_vertex(table[word.steps[0]][0]), coeff * n
 
     return AlgebraElement(ctx, accumulate({}, vertex_terms()))
 
@@ -297,7 +295,6 @@ def cell_subgraph(graph: SeparatedGraph, v: str, index: int) -> SeparatedGraph:
 
 def beta_element(ctx: LeavittContext, edge_id: str) -> AlgebraElement:
     """The kernel element S_e S_e* - (1/|X|) P_v of the cell expectation."""
-    v, k = ctx.graph.cell_of(edge_id)
-    size = len(ctx.graph.cell_edges(v, k))
+    v, _, _, cell = ctx.graph.step_table()[SignedEdge(edge_id)]
     word = NormalWord.of_steps((SignedEdge(edge_id), SignedEdge(edge_id, True)))
-    return from_word(ctx, word) - vertex_element(ctx, v).scale(Fraction(1, size))
+    return from_word(ctx, word) - vertex_element(ctx, v).scale(Fraction(1, len(cell)))

@@ -64,7 +64,7 @@ class SeparatedGraph:
     """
 
     __slots__ = (
-        "vertices", "edges", "separation", "_edge_by_id", "_out", "_cell_of", "_steps", "_moves"
+        "vertices", "edges", "separation", "_edge_by_id", "_out", "_steps", "_moves"
     )
 
     def __init__(
@@ -87,11 +87,6 @@ class SeparatedGraph:
         for e in self.edges:
             if e.src in self._out:
                 self._out[e.src].append(e.id)
-        self._cell_of = {}
-        for v, cells in self.separation.items():
-            for i, cell in enumerate(cells):
-                for eid in cell:
-                    self._cell_of.setdefault(eid, (v, i))
         self._steps = self._moves = None  # built on first use, then shared by every context
 
     # -- lookups -----------------------------------------------------------
@@ -116,24 +111,28 @@ class SeparatedGraph:
 
     def cell_of(self, edge_id: str) -> tuple:
         """The (vertex, cell index) of the partition cell containing the edge."""
-        try:
-            return self._cell_of[edge_id]
-        except KeyError:
-            raise GraphError(f"edge {edge_id!r} lies in no separation cell") from None
+        entry = self.step_table().get(SignedEdge(edge_id))
+        if entry is None:
+            raise GraphError(f"edge {edge_id!r} lies in no separation cell")
+        return entry[2]
 
     def cell_edges(self, v: str, index: int) -> tuple:
         return self.cells(v)[index]
 
     def step_table(self) -> dict:
         """Signed edge -> (source, range, cell, cell edges) for both orientations
-        of every edge of a valid graph."""
+        of every edge a separation cell names.  On an unvalidated graph the
+        first cell naming an edge wins, and an id missing from the edge list
+        has no ends (``None``)."""
         if self._steps is None:
-            self._steps = _StepTable()
-            for eid, (v, i) in self._cell_of.items():
-                e = self._edge_by_id[eid]
-                cell = ((v, i), self.separation[v][i])
-                self._steps[SignedEdge(eid)] = (e.src, e.dst, *cell)
-                self._steps[SignedEdge(eid, True)] = (e.dst, e.src, *cell)
+            self._steps = steps = _StepTable()
+            for v, cells in self.separation.items():
+                for i, cell in enumerate(cells):
+                    for eid in cell:
+                        e = self._edge_by_id.get(eid)
+                        src, dst = (e.src, e.dst) if e else (None, None)
+                        steps.setdefault(SignedEdge(eid), (src, dst, (v, i), cell))
+                        steps.setdefault(SignedEdge(eid, True), (dst, src, (v, i), cell))
         return self._steps
 
     def moves(self, v: str) -> tuple:

@@ -125,6 +125,16 @@ class FreeGroup(Group):
 
     is_finite = False
 
+    def __post_init__(self):
+        # format_value writes 'a.b^-1', and '1' for the identity; parse strips the text
+        for name in self.generators:
+            if not name or name == "1" or "." in name or "^" in name or name != name.strip():
+                raise GroupError(
+                    f"free generator name {name!r} is empty, '1', padded, or has '.' or '^'"
+                )
+        if len(set(self.generators)) != len(self.generators):
+            raise GroupError(f"free generator names repeat in {list(self.generators)!r}")
+
     def _identity(self):
         return ()
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
 
 from .algebra import AlgebraElement, LeavittContext, NormalWord, forbidden_pair, from_word, sum_of
 from .graphs import Edge, GraphPath, SeparatedGraph, SignedEdge
@@ -116,13 +115,8 @@ def random_element(
     return sum_of(ctx, terms)
 
 
-def random_forward_path(
-    rng: random.Random,
-    graph: SeparatedGraph,
-    max_len: int,
-    start: Optional[str] = None,
-) -> GraphPath:
-    vertex = start if start is not None else rng.choice(graph.vertices)
+def random_forward_path(rng: random.Random, graph: SeparatedGraph, max_len: int) -> GraphPath:
+    vertex = rng.choice(graph.vertices)
     target = rng.randint(0, max_len)
     steps = []
     while len(steps) < target:

@@ -88,8 +88,7 @@ def _criterion(number, name):
                 passed, detail = False, str(exc)
             return CriterionResult(number, name, passed, time.perf_counter() - start, detail)
 
-        run.number = number
-        run.criterion_name = name
+        run.number = number  # names the acceptance tests
         return run
 
     return wrap

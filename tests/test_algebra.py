@@ -449,6 +449,23 @@ def test_reduction_is_strategy_independent(seed):
     )
 
 
+def test_rightmost_folds_the_adjoint_word(monkeypatch):
+    ctx = LeavittContext(PAIR)
+    fold = algebra._fold
+    calls = []
+
+    def recording(ctx, steps):
+        calls.append(steps)
+        return fold(ctx, steps)
+
+    monkeypatch.setattr(algebra, "_fold", recording)
+    steps = (fwd("e1"), bwd("e1"), fwd("e1"), bwd("e2"))  # e1 e1* e1 e2* = e1 e2*
+    left = reduce_word(ctx, steps, strategy="leftmost")
+    right = reduce_word(ctx, steps, strategy="rightmost")
+    assert calls == [steps, NormalWord.of_steps(steps).adjoint().steps]
+    assert left == right == from_word(ctx, NormalWord.of_steps((fwd("e1"), bwd("e2"))))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_change_of_basis_roundtrip(seed):

@@ -310,6 +310,16 @@ def test_outputs_are_deterministic(capsys, a2_file):
         ({"lab": {"a1": "a", "a2": "b"}},
          ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": "ab"}}',
           "--label", "{lab}", "a1 a2"]),
+        ({"lab": {"a1": "", "a2": ""}},
+         ["grade", "--graph", "{a2}", "--group", "free:", "--label", "{lab}", "a1 a2"]),
+        ({"lab": {"a1": "", "a2": ""}},
+         ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": [""]}}',
+          "--label", "{lab}", "a1 a2"]),
+        ({"lab": {"a1": "a", "a2": "a"}},
+         ["grade", "--graph", "{a2}", "--group", "free:a,a", "--label", "{lab}", "a1 a2"]),
+        ({"lab": {"a1": "a", "a2": "a"}},
+         ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": ["a", "a"]}}',
+          "--label", "{lab}", "a1 a2"]),
     ],
 )
 def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):

@@ -122,7 +122,10 @@ def test_step_table_agrees_with_the_edges_and_cells(seed):
     assert table is graph.step_table()
     assert len(table) == 2 * len(graph.edges)
     for e in graph.edges:
-        cell = graph.cell_of(e.id)
+        (cell,) = [
+            (v, i) for v, cells in graph.separation.items() for i, c in enumerate(cells) if e.id in c
+        ]
+        assert graph.cell_of(e.id) == cell
         assert table[SignedEdge(e.id)] == (e.src, e.dst, cell, graph.cell_edges(*cell))
         assert table[SignedEdge(e.id, True)] == (e.dst, e.src, cell, graph.cell_edges(*cell))
     for v in graph.vertices:
@@ -133,6 +136,22 @@ def test_step_table_agrees_with_the_edges_and_cells(seed):
         table[SignedEdge("nope")]
     with pytest.raises(GraphError, match="unknown vertex id 'nope'"):
         graph.moves("nope")
+
+
+def test_cell_of_on_unvalidated_graphs():
+    # 'a' is listed in two cells, 'c' in none, and a cell names the unknown edge 'x'
+    graph = SeparatedGraph(
+        ["v", "w"],
+        [("a", "v", "w"), ("b", "v", "w"), ("c", "w", "v")],
+        {"v": [["a", "b"], ["x"]], "w": [["a"]]},
+    )
+    assert validate(graph)
+    assert graph.cell_of("a") == ("v", 0)  # the first cell wins
+    assert graph.cell_of("b") == ("v", 0)
+    assert graph.cell_of("x") == ("v", 1)
+    for eid in ("c", "nope"):
+        with pytest.raises(GraphError, match=f"edge '{eid}' lies in no separation cell"):
+            graph.cell_of(eid)
 
 
 def test_malformed_path_raises():

@@ -109,6 +109,30 @@ def test_element_literal_roundtrips():
         assert group.from_literal(group.to_literal(el)) == el
 
 
+@settings(max_examples=50)
+@given(
+    st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3, unique=True),
+    st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=6),
+)
+def test_accepted_free_generator_names_read_back(names, raw):
+    try:
+        group = FreeGroup(tuple(names))
+    except GroupError:
+        return  # rejected names are tested separately
+    x = group.element([(names[i % len(names)], sign) for i, sign in raw])
+    assert group.parse(str(x)) == x
+
+
+@pytest.mark.parametrize(
+    "names", [("",), ("a", "a"), ("a.b",), ("a^2",), ("1",), (" a",), ("a\n",)]
+)
+def test_free_generator_names_that_would_not_read_back_are_rejected(names):
+    with pytest.raises(GroupError, match="free generator name"):
+        FreeGroup(names)
+    with pytest.raises(GroupError, match="free generator name"):
+        group_from_json({"type": "free", "generators": list(names)})
+
+
 def test_group_spec_json_roundtrip():
     for group in [Z3, F2, IntegerGroup(), ProductGroup((CyclicGroup(2), CyclicGroup(2)))]:
         assert group_from_json(group_to_json(group)) == group
