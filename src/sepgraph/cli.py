@@ -244,12 +244,30 @@ def cmd_selftest(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``sepgraph`` parser, or, given a subcommand's name, a cheaper one for it.
+
+    Each argparse parser and argument costs tens of microseconds to build, so
+    with ``command`` naming a subcommand only that subcommand's parser is
+    built: it parses every argument list that starts with ``command`` as the
+    full parser does, usage lines and messages included.  Any other
+    ``command`` gives the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="sepgraph",
         description="exact computation with separated graphs and their path algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    names = []
+
+    def add(name, fn, help):
+        """The subparser for ``name``, or None when building for another command."""
+        names.append(name)
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
 
     def graph_flag(p, required=True):
         p.add_argument("--graph", required=required, help="path to a graph JSON file")
@@ -261,95 +279,98 @@ def build_parser() -> argparse.ArgumentParser:
             help="JSON file mapping vertex -> [chosen edge per cell]",
         )
 
-    p = sub.add_parser("validate", help="report every broken graph invariant")
-    graph_flag(p)
-    p.set_defaults(fn=cmd_validate)
+    if p := add("validate", cmd_validate, "report every broken graph invariant"):
+        graph_flag(p)
 
-    p = sub.add_parser("skew", help="skew product by a labeling into a finite group")
-    graph_flag(p)
-    p.add_argument("--label", required=True)
-    p.add_argument("--group", required=True)
-    p.set_defaults(fn=cmd_skew)
+    if p := add("skew", cmd_skew, "skew product by a labeling into a finite group"):
+        graph_flag(p)
+        p.add_argument("--label", required=True)
+        p.add_argument("--group", required=True)
 
-    p = sub.add_parser("quotient", help="orbit graph of a group action")
-    graph_flag(p)
-    p.add_argument("--action", required=True)
-    p.set_defaults(fn=cmd_quotient)
+    if p := add("quotient", cmd_quotient, "orbit graph of a group action"):
+        graph_flag(p)
+        p.add_argument("--action", required=True)
 
-    p = sub.add_parser(
-        "gross-tucker", help="present a free action as a skew product over its quotient"
-    )
-    graph_flag(p)
-    p.add_argument("--action", required=True)
-    p.set_defaults(fn=cmd_gross_tucker)
+    if p := add(
+        "gross-tucker",
+        cmd_gross_tucker,
+        "present a free action as a skew product over its quotient",
+    ):
+        graph_flag(p)
+        p.add_argument("--action", required=True)
 
-    p = sub.add_parser("cayley", help="Cayley separated graph of a finite group")
-    p.add_argument("--group", required=True)
-    p.add_argument("--generators", required=True, help="comma-separated element literals")
-    p.set_defaults(fn=cmd_cayley)
+    if p := add("cayley", cmd_cayley, "Cayley separated graph of a finite group"):
+        p.add_argument("--group", required=True)
+        p.add_argument("--generators", required=True, help="comma-separated element literals")
 
-    p = sub.add_parser("reduce", help="rewrite an element literal to normal form")
-    graph_flag(p)
-    choice_flag(p)
-    p.add_argument("element")
-    p.set_defaults(fn=cmd_reduce)
+    if p := add("reduce", cmd_reduce, "rewrite an element literal to normal form"):
+        graph_flag(p)
+        choice_flag(p)
+        p.add_argument("element")
 
-    p = sub.add_parser("mul", help="multiply two element literals")
-    graph_flag(p)
-    choice_flag(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(fn=cmd_mul)
+    if p := add("mul", cmd_mul, "multiply two element literals"):
+        graph_flag(p)
+        choice_flag(p)
+        p.add_argument("left")
+        p.add_argument("right")
 
-    p = sub.add_parser("star", help="adjoint of an element literal")
-    graph_flag(p)
-    choice_flag(p)
-    p.add_argument("element")
-    p.set_defaults(fn=cmd_star)
+    if p := add("star", cmd_star, "adjoint of an element literal"):
+        graph_flag(p)
+        choice_flag(p)
+        p.add_argument("element")
 
-    p = sub.add_parser("expect", help="conditional expectation onto the vertex span")
-    graph_flag(p)
-    choice_flag(p)
-    p.add_argument("element")
-    p.set_defaults(fn=cmd_expect)
+    if p := add("expect", cmd_expect, "conditional expectation onto the vertex span"):
+        graph_flag(p)
+        choice_flag(p)
+        p.add_argument("element")
 
-    p = sub.add_parser("grade", help="decompose an element by a labeling")
-    graph_flag(p)
-    choice_flag(p)
-    p.add_argument("--label", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("element")
-    p.set_defaults(fn=cmd_grade)
+    if p := add("grade", cmd_grade, "decompose an element by a labeling"):
+        graph_flag(p)
+        choice_flag(p)
+        p.add_argument("--label", required=True)
+        p.add_argument("--group", required=True)
+        p.add_argument("element")
 
-    p = sub.add_parser("act", help="apply an induced automorphism to an element")
-    graph_flag(p)
-    choice_flag(p)
-    p.add_argument("--action", required=True)
-    p.add_argument("g", help="group element literal")
-    p.add_argument("element")
-    p.set_defaults(fn=cmd_act)
+    if p := add("act", cmd_act, "apply an induced automorphism to an element"):
+        graph_flag(p)
+        choice_flag(p)
+        p.add_argument("--action", required=True)
+        p.add_argument("g", help="group element literal")
+        p.add_argument("element")
 
-    p = sub.add_parser(
+    if p := add(
         "verify-crossed-iso",
-        help="verify the skew-product/crossed-product dictionary",
-    )
-    graph_flag(p)
-    p.add_argument("--label", required=True)
-    p.add_argument("--group", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(fn=cmd_verify_crossed_iso)
+        cmd_verify_crossed_iso,
+        "verify the skew-product/crossed-product dictionary",
+    ):
+        graph_flag(p)
+        p.add_argument("--label", required=True)
+        p.add_argument("--group", required=True)
+        p.add_argument("--samples", type=int, default=100)
+        p.add_argument("--seed", type=int, required=True)
 
-    p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.set_defaults(fn=cmd_selftest)
+    if p := add("selftest", cmd_selftest, "run the acceptance criteria"):
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
+    if command is None:
+        return parser
+    if command not in names:
+        return build_parser()
+    # the usage line an extra argument prints names every command, as the full parser's does
+    sub.metavar = "{" + ",".join(names) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code (see the module docstring).
+
+    May be called repeatedly in one process: each call builds the parser for
+    its subcommand alone, and nothing outlives a call.  An argparse usage
+    error, and ``--help``, raise ``SystemExit`` (2 for a usage error) instead
+    of returning.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here when the output was buffered

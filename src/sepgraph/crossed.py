@@ -89,7 +89,9 @@ def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
         for cw2, c2 in y.terms.items():
             if cw1.slot != word_degree(cw2.word, labeling) * cw2.slot:
                 continue
-            product = from_word(ctx, cw1.word, c1 * c2) * from_word(ctx, cw2.word)
+            # crossed words hold normal words, so they multiply as they are
+            left = AlgebraElement(ctx, {cw1.word: c1 * c2})
+            product = left * AlgebraElement(ctx, {cw2.word: scalars.ONE})
             accumulate(acc, ((CrossedWord(w, cw2.slot), c) for w, c in product.terms.items()))
     return CrossedElement(ctx, labeling, acc)
 
@@ -99,7 +101,7 @@ def crossed_star(x: CrossedElement) -> CrossedElement:
     ctx = x.ctx
     out = {}
     for cw, c in x.terms.items():
-        starred = from_word(ctx, cw.word, c).star()
+        starred = AlgebraElement(ctx, {cw.word: c}).star()
         slot = word_degree(cw.word, x.labeling) * cw.slot
         accumulate(out, ((CrossedWord(w, slot), sc) for w, sc in starred.terms.items()))
     return CrossedElement(ctx, x.labeling, out)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from sepgraph import cli
 from sepgraph.cli import main
 
 A2 = {
@@ -332,6 +333,70 @@ def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_call_builds_only_its_subcommands_parser(capsys, monkeypatch, a2_file):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    for argv in (
+        ["reduce", "--graph", a2_file, "a1 a1*"],
+        ["mul", "--graph", a2_file, "a1", "a2"],
+        ["expect", "--graph", a2_file, "a1 a1*"],
+        ["validate", "--graph", a2_file],
+        ["cayley", "--group", "zmod:3", "--generators", "1"],
+    ):
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert built == ["sepgraph", f"sepgraph {argv[0]}"]  # not all 13 subparsers
+
+
+COMMANDS = (
+    "validate", "skew", "quotient", "gross-tucker", "cayley", "reduce", "mul", "star",
+    "expect", "grade", "act", "verify-crossed-iso", "selftest",
+)
+
+
+def parse_outcome(capsys, parser, argv):
+    """The namespace, or the SystemExit code, and what parsing printed."""
+    try:
+        namespace, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[name, "--help"] for name in COMMANDS]
+    + [[name] for name in COMMANDS]
+    + [[name, "--no-such-flag"] for name in COMMANDS]
+    + [
+        ["reduce", "--graph", "g.json", "--ex-choice", "c.json", "a1"],
+        ["mul", "--graph", "g.json", "a1", "a2", "extra"],
+        ["verify-crossed-iso", "--graph", "g.json", "--label", "l.json", "--group", "z",
+         "--seed", "3"],
+        ["verify-crossed-iso", "--graph", "g.json", "--label", "l.json", "--group", "z",
+         "--seed", "x"],
+        ["selftest", "--seed", "5"],
+        ["reduce", "--he"],
+        [],
+        ["-h"],
+        ["no-such-command"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_a_subcommands_parser_parses_as_the_full_parser(capsys, argv):
+    assert "{" + ",".join(COMMANDS) + "}" in cli.build_parser().format_usage()
+    full = parse_outcome(capsys, cli.build_parser(), argv)
+    narrow = parse_outcome(capsys, cli.build_parser(argv[0] if argv else None), argv)
+    assert narrow == full
 
 
 def test_closed_stdout_pipe_exits_1_without_traceback():

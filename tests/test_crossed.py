@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sepgraph import crossed
+from sepgraph import algebra, crossed
 from sepgraph.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -85,6 +85,29 @@ def test_slot_mismatch_kills_products():
     assert not crossed_mul(x, y).is_zero
     y_bad = crossed_element(ctx, labeling, word, group.element(1))
     assert crossed_mul(x, y_bad).is_zero
+
+
+def test_crossed_basis_words_are_not_rewritten_again(monkeypatch):
+    group, labeling, ctx, _ = loop_setup(3)
+    fold = algebra._fold
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return fold(*args)
+
+    monkeypatch.setattr(algebra, "_fold", counting)
+    word = NormalWord.of_steps((SignedEdge("a"),))  # degree 1
+    x = crossed_element(ctx, labeling, word, group.element(0))
+    y = crossed_element(ctx, labeling, word, group.element(2))
+    product = crossed_mul(x, y)  # slots match: 0 == 1 + 2
+    assert len(calls) == 1  # the product word only, not each factor first
+    calls.clear()
+    starred = crossed_star(x)
+    assert calls == []
+    two = NormalWord.of_steps((SignedEdge("a"), SignedEdge("a")))
+    assert product == crossed_element(ctx, labeling, two, group.element(2))
+    assert starred == crossed_element(ctx, labeling, word.adjoint(), group.element(1))
 
 
 def test_adding_crossed_elements_with_different_labelings_is_rejected():
