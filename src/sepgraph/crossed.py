@@ -37,8 +37,9 @@ from .algebra import (
     vertex_element,
     word_degree,
 )
-from .graphs import SignedEdge, SkewProduct
+from .graphs import SignedEdge, SkewProduct, skew_product
 from .groups import GroupElement, GroupError, Labeling, translation_action
+from .sampling import random_normal_word
 
 
 class CrossedWord(NamedTuple):
@@ -285,9 +286,6 @@ def verify_iso(
     preserving on sampled pairs; (c) the translation automorphisms correspond
     to slot translation.
     """
-    from .graphs import skew_product
-    from .sampling import random_normal_word
-
     if sample_count < 0:
         raise ValueError(f"the sample count must be at least 0, got {sample_count}")
     group = labeling.group

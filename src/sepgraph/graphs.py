@@ -441,7 +441,8 @@ def _orbits(items: Sequence[str], maps: list) -> dict:
 
 
 def quotient_graph(graph: SeparatedGraph, action: "GraphAction") -> Quotient:
-    """The orbit graph of a valid action, separation cells pushed to classes.
+    """The orbit graph of an action, separation cells pushed to classes.  The
+    graph and the whole action table are checked first, once.
 
     Class ids are the lexicographically smallest orbit members.  Cells are
     read off at each class representative; duplicate cells (which arise when

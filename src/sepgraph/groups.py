@@ -425,9 +425,6 @@ class GraphAction:
     def apply_vertex(self, g: GroupElement, v: str) -> str:
         return self.morphism(g).vmap[v]
 
-    def apply_edge(self, g: GroupElement, e: str) -> str:
-        return self.morphism(g).emap[e]
-
     def violations(self, graph: SeparatedGraph) -> list:
         return check_action(self, graph)
 
@@ -459,9 +456,7 @@ def check_action(action: GraphAction, graph: SeparatedGraph) -> list:
         problems.append("identity element does not act as the identity")
     for g in elements:
         for h in elements:
-            composed = action.table[g].compose(action.table[h])
-            target = action.table[g * h]
-            if composed.vmap != target.vmap or composed.emap != target.emap:
+            if action.table[g].compose(action.table[h]) != action.table[g * h]:
                 problems.append(f"table({g})∘table({h}) differs from table({g}{h})")
     return problems
 
@@ -525,8 +520,6 @@ class GrossTuckerResult:
     """
 
     quotient: SeparatedGraph
-    vertex_class: dict
-    edge_class: dict
     labeling: Labeling
     skew: SkewProduct
     iso: GraphMorphism
@@ -535,76 +528,47 @@ class GrossTuckerResult:
 def gross_tucker(graph: SeparatedGraph, action: GraphAction) -> GrossTuckerResult:
     """Reconstruct a free action as a skew product over the quotient graph.
 
-    Per vertex orbit the base vertex is the lexicographically smallest member
-    (which is also the orbit's class id).  Each edge orbit has a unique
-    representative starting at its base vertex; the group element carrying the
-    base vertex of the range orbit to the representative's range defines the
-    quotient labeling.
+    :func:`~sepgraph.graphs.quotient_graph` checks the graph and the whole
+    table once.  The base vertex x of a vertex orbit is its class id, the
+    lexicographically smallest member; as the action is free, g -> g.x is a
+    bijection from the group onto the orbit, so every vertex y = g.x has the
+    orbit coordinates (x, g), and g is the carrier of y.  An edge orbit has
+    exactly one member starting at a base vertex (if f and k.f both did,
+    k would fix that vertex): that member is the orbit's representative, and
+    the carrier of its range is the label of the orbit.  The isomorphism sends
+    (x, g) to g.x and (orbit, g) to g applied to the representative.
     """
-    problems = check_action(action, graph)
-    if problems:
-        raise GroupError("invalid action: " + "; ".join(problems))
+    quotient = quotient_graph(graph, action)
     fixed = _fixed_vertex(action, graph)
     if fixed is not None:
         g, v = fixed
         raise GroupError(f"action is not free: {g} fixes vertex {v!r}")
-    quotient = quotient_graph(graph, action)
-    group = action.group
-    elements = group.elements()
-
-    # the class id is the lex-smallest orbit member, hence also the base vertex
+    carrier = {f.vmap[x]: g for g, f in action.table.items() for x in quotient.graph.vertices}
     rep_edge = {}
     label = {}
-    for e in quotient.graph.edges:
-        candidates = [
-            orig.id
-            for orig in graph.edges
-            if quotient.edge_class[orig.id] == e.id and orig.src == e.src
-        ]
-        if len(candidates) != 1:
-            raise GroupError(
-                f"edge orbit {e.id!r} has {len(candidates)} representatives at its base vertex"
-            )
-        rep = graph.edge(candidates[0])
-        rep_edge[e.id] = rep.id
-        carriers = [g for g in elements if action.apply_vertex(g, e.dst) == rep.dst]
-        if len(carriers) != 1:
-            raise GroupError(f"freeness failure while labeling edge orbit {e.id!r}")
-        label[e.id] = carriers[0]
-
-    labeling = Labeling(group, label)
+    for e in graph.edges:
+        if quotient.vertex_class[e.src] == e.src:
+            orbit = quotient.edge_class[e.id]
+            rep_edge[orbit] = e.id
+            label[orbit] = carrier[e.dst]
+    labeling = Labeling(action.group, label)
     skew = skew_product(quotient.graph, labeling)
-    vmap = {
-        name: action.apply_vertex(g, x) for name, (x, g) in skew.vertex_pair.items()
-    }
-    emap = {
-        name: action.apply_edge(g, rep_edge[y]) for name, (y, g) in skew.edge_pair.items()
-    }
-    iso = GraphMorphism(vmap, emap)
-    return GrossTuckerResult(
-        quotient=quotient.graph,
-        vertex_class=quotient.vertex_class,
-        edge_class=quotient.edge_class,
-        labeling=labeling,
-        skew=skew,
-        iso=iso,
+    iso = GraphMorphism(
+        {name: action.table[g].vmap[x] for name, (x, g) in skew.vertex_pair.items()},
+        {name: action.table[g].emap[rep_edge[y]] for name, (y, g) in skew.edge_pair.items()},
     )
+    return GrossTuckerResult(quotient.graph, labeling, skew, iso)
 
 
 def is_equivariant_iso(result: GrossTuckerResult, action: GraphAction) -> bool:
-    """Pointwise check that the rebuilt isomorphism intertwines the translation
-    action on the skew product with the original action."""
+    """Check that the rebuilt isomorphism intertwines the translation action on
+    the skew product with the original action: iso∘t(z) = a(z)∘iso for all z."""
     translation = translation_action(result.skew)
-    for z in action.group.elements():
-        t = translation.morphism(z)
-        a = action.morphism(z)
-        for name in result.skew.vertex_pair:
-            if result.iso.vmap[t.vmap[name]] != a.vmap[result.iso.vmap[name]]:
-                return False
-        for name in result.skew.edge_pair:
-            if result.iso.emap[t.emap[name]] != a.emap[result.iso.emap[name]]:
-                return False
-    return True
+    iso = result.iso
+    return all(
+        iso.compose(translation.morphism(z)) == action.morphism(z).compose(iso)
+        for z in action.group.elements()
+    )
 
 
 # -- Cayley separated graphs ---------------------------------------------------

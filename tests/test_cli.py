@@ -197,6 +197,55 @@ def test_act_applies_the_automorphism(capsys, pair_file, tmp_path):
     assert out.strip() == "1 * e2"
 
 
+def test_act_rejects_an_entry_that_is_not_an_automorphism(capsys, tmp_path):
+    # swapping a and c maps the cell {a, b} onto {c, b}, which is no cell; applied
+    # anyway it would send the nonzero normal word b* c to b* a = 0
+    graph = {
+        "vertices": ["v"],
+        "edges": [{"id": x, "src": "v", "dst": "v"} for x in "abc"],
+        "separation": {"v": [["a", "b"], ["c"]]},
+    }
+    action = {
+        "group": {"type": "zmod", "n": 2},
+        "table": {
+            "0": {"vertices": {"v": "v"}, "edges": {"a": "a", "b": "b", "c": "c"}},
+            "1": {"vertices": {"v": "v"}, "edges": {"a": "c", "b": "b", "c": "a"}},
+        },
+    }
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(graph))
+    action_path = tmp_path / "act.json"
+    action_path.write_text(json.dumps(action))
+    argv = ["act", "--graph", str(graph_path), "--action", str(action_path)]
+    code, out, err = run(capsys, *argv, "1", "b* c")
+    assert (code, out) == (2, "")
+    assert "entry for 1 is not an automorphism" in err
+    code, out, _ = run(capsys, *argv, "0", "b* c")
+    assert (code, out.strip()) == (0, "1 * b* c")
+
+
+def test_an_invalid_table_fails_quotient_and_gross_tucker_alike(capsys, tmp_path):
+    graph = {
+        "vertices": ["v", "w"],
+        "edges": [{"id": "a", "src": "v", "dst": "w"}, {"id": "b", "src": "w", "dst": "v"}],
+        "separation": {"v": [["a"]], "w": [["b"]]},
+    }
+    swap = {"vertices": {"v": "w", "w": "v"}, "edges": {"a": "b", "b": "a"}}
+    action = {"group": {"type": "zmod", "n": 2}, "table": {"0": swap, "1": swap}}
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(graph))
+    action_path = tmp_path / "act.json"
+    action_path.write_text(json.dumps(action))
+    outcomes = [
+        run(capsys, command, "--graph", str(graph_path), "--action", str(action_path))
+        for command in ("quotient", "gross-tucker")
+    ]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert (code, out) == (2, "")
+    assert err.startswith("error: action invariant violation: ")
+
+
 def test_verify_crossed_iso(capsys, a2_file, tmp_path):
     label = tmp_path / "label.json"
     label.write_text(json.dumps({"a1": 1, "a2": 1}))
@@ -416,3 +465,13 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in err and err == ""
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sepgraph.cli; print('sepgraph.selftest' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"

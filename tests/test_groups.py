@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepgraph import groups
 from sepgraph.graphs import (
     GraphMorphism,
     GraphPath,
@@ -383,12 +384,30 @@ def test_gross_tucker_rejects_non_free_actions():
         gross_tucker(emn, action)
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([2, 3]))
-def test_gross_tucker_roundtrip_on_random_skew_products(seed, order):
+def test_gross_tucker_checks_the_table_once(monkeypatch):
+    calls = []
+    check = groups.check_action
+
+    def counted(action, graph):
+        calls.append(action)
+        return check(action, graph)
+
+    monkeypatch.setattr(groups, "check_action", counted)
+    graph, action = swap_action()
+    gross_tucker(graph, action)
+    assert calls == [action]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(
+        [CyclicGroup(1), CyclicGroup(2), CyclicGroup(3), ProductGroup((CyclicGroup(2),) * 2)]
+    ),
+)
+def test_gross_tucker_roundtrip_on_random_skew_products(seed, group):
     rng = random.Random(seed)
     graph = random_separated_graph(rng, max_vertices=3, max_edges=5)
-    group = CyclicGroup(order)
     skew = skew_product(graph, random_labeling(rng, graph, group))
     action = translation_action(skew)
     result = gross_tucker(skew.graph, action)
