@@ -16,9 +16,9 @@ The package is organized around five layers:
   a labeling, the skew-product isomorphism on basis elements, and its
   verification for finite groups.
 
-Elements, words and group elements are never changed once built.  Contexts
-and graphs memoize: a context keeps ``expect_cache`` and ``compatible_with``,
-and a graph builds its step table on first use.  All arithmetic is exact.
+Elements, words, groups, and the records of graphs, labelings and actions
+never change once built.  A context memoizes ``expect_cache`` and
+``compatible_with``, and a graph its step table.  All arithmetic is exact.
 """
 
 from .scalars import GaussianRational

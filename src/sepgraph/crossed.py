@@ -19,7 +19,6 @@ slot sums inverting the map need a finite group, and only then.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from . import scalars
@@ -192,8 +191,7 @@ def phi_inverse_word(
 # -- the inverse covariant pair (finite groups only) ------------------------------
 
 
-@dataclass
-class PsiGenerators:
+class PsiGenerators(NamedTuple):
     """Images of the base generators and of the slot indicators inside the
     skew-product algebra: vertex sums over all fibers."""
 
@@ -252,11 +250,12 @@ def slot_translate(x: CrossedElement, z: GroupElement) -> CrossedElement:
 # -- verification -----------------------------------------------------------------
 
 
-@dataclass
 class IsoReport:
-    generator_checks: int = 0
-    sample_checks: int = 0
-    failures: list = field(default_factory=list)
+    __slots__ = ("generator_checks", "sample_checks", "failures")
+
+    def __init__(self, generator_checks: int = 0, sample_checks: int = 0, failures=None):
+        self.generator_checks, self.sample_checks = generator_checks, sample_checks
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

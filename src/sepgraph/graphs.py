@@ -9,7 +9,6 @@ code relies on that stability to make representative choices deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -20,8 +19,7 @@ class GraphError(Exception):
     """Inconsistent graph data, or an operation applied outside its domain."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     src: str
     dst: str
@@ -228,8 +226,7 @@ def validate(graph: SeparatedGraph) -> list:
 # -- paths in the extended graph -------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphPath:
+class GraphPath(NamedTuple):
     """A composable sequence of signed edges; ``base`` names the vertex of the
     empty path (source and range coincide with it)."""
 
@@ -275,8 +272,7 @@ def forward_path(graph: SeparatedGraph, edge_ids: Sequence[str]) -> GraphPath:
 # -- morphisms ---------------------------------------------------------------
 
 
-@dataclass
-class GraphMorphism:
+class GraphMorphism(NamedTuple):
     """A pair of maps on vertex and edge ids commuting with source and range."""
 
     vmap: dict
@@ -335,8 +331,7 @@ def check_isomorphism(f: GraphMorphism, src: SeparatedGraph, dst: SeparatedGraph
 # -- skew products -----------------------------------------------------------
 
 
-@dataclass
-class SkewProduct:
+class SkewProduct(NamedTuple):
     """A skew product graph plus the naming maps for its (item, group) pairs.
 
     Vertices are pairs (v, g) named ``v@g``; the edge (e, g) runs from
@@ -421,8 +416,7 @@ def skew_path(skew: SkewProduct, path: GraphPath, g: "GroupElement") -> GraphPat
 # -- quotients ---------------------------------------------------------------
 
 
-@dataclass
-class Quotient:
+class Quotient(NamedTuple):
     """A quotient separated graph together with the orbit maps."""
 
     graph: SeparatedGraph

@@ -11,8 +11,7 @@ crossed-product machinery require that.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
     Edge,
@@ -81,9 +80,26 @@ def _require_int(raw, what: str) -> int:
 
 
 class Group:
-    """Shared behaviour; concrete groups implement the ``_``-prefixed hooks."""
+    """Immutable group values; concrete groups implement the ``_``-prefixed hooks."""
 
+    __slots__ = ()
     is_finite = False
+
+    def __reduce__(self):  # the class and the slots: all that equality and hashing read
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return self is other or isinstance(other, Group) and self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self.__reduce__()[1]))})"
 
     def identity(self) -> GroupElement:
         return GroupElement(self, self._identity())
@@ -104,7 +120,10 @@ class Group:
         return GroupElement(self, self._parse(text.strip()))
 
     def format_value(self, value) -> str:
-        raise NotImplementedError
+        return str(value)
+
+    def _to_json(self, value):
+        return value
 
     def from_literal(self, literal) -> GroupElement:
         """Accept the JSON form of an element: a string literal, or a raw value
@@ -117,15 +136,13 @@ class Group:
         return self._to_json(el.value)
 
 
-@dataclass(frozen=True)
 class FreeGroup(Group):
     """The free group on named generators; values are reduced letter tuples."""
 
-    generators: tuple
+    __slots__ = ("generators",)
 
-    is_finite = False
-
-    def __post_init__(self):
+    def __init__(self, generators: tuple):
+        object.__setattr__(self, "generators", generators)
         # format_value writes 'a.b^-1', and '1' for the identity; parse strips the text
         for name in self.generators:
             if not name or name == "1" or "." in name or "^" in name or name != name.strip():
@@ -189,9 +206,8 @@ class FreeGroup(Group):
         return f"free({','.join(self.generators)})"
 
 
-@dataclass(frozen=True)
 class IntegerGroup(Group):
-    is_finite = False
+    __slots__ = ()
 
     def _identity(self):
         return 0
@@ -205,28 +221,21 @@ class IntegerGroup(Group):
     def _normalize(self, raw):
         return _require_int(raw, "integer group element")
 
-    def format_value(self, value) -> str:
-        return str(value)
-
     def _parse(self, text):
         return int(text)
-
-    def _to_json(self, value):
-        return value
 
     def __str__(self):
         return "z"
 
 
-@dataclass(frozen=True)
 class CyclicGroup(Group):
-    modulus: int
-
+    __slots__ = ("modulus",)
     is_finite = True
 
-    def __post_init__(self):
-        if type(self.modulus) is not int or self.modulus <= 0:  # bool and float are out
-            raise GroupError(f"a cyclic group needs a positive modulus, got {self.modulus!r}")
+    def __init__(self, modulus: int):
+        if type(modulus) is not int or modulus <= 0:  # bool and float are out
+            raise GroupError(f"a cyclic group needs a positive modulus, got {modulus!r}")
+        object.__setattr__(self, "modulus", modulus)
 
     def _identity(self):
         return 0
@@ -243,14 +252,8 @@ class CyclicGroup(Group):
     def _values(self):
         return list(range(self.modulus))
 
-    def format_value(self, value) -> str:
-        return str(value)
-
     def _parse(self, text):
         return int(text) % self.modulus
-
-    def _to_json(self, value):
-        return value
 
     def __str__(self):
         return f"zmod:{self.modulus}"
@@ -273,9 +276,13 @@ def split_top_level(text: str) -> list:
     return parts
 
 
-@dataclass(frozen=True)
 class ProductGroup(Group):
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple):
+        if not factors:  # its one element would print as '()', which parse rejects
+            raise GroupError("a product group needs a factor; zmod:1 is the trivial group")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def is_finite(self):  # type: ignore[override]
@@ -354,8 +361,7 @@ def group_from_json(data: dict) -> Group:
 # -- labelings ----------------------------------------------------------------
 
 
-@dataclass
-class Labeling:
+class Labeling(NamedTuple):
     """An assignment of a group element to every edge, extended to paths
     multiplicatively and to reversed edges by inversion."""
 
@@ -407,8 +413,7 @@ def labeling_from_json(group: Group, data: dict) -> Labeling:
 # -- actions ------------------------------------------------------------------
 
 
-@dataclass
-class GraphAction:
+class GraphAction(NamedTuple):
     """A finite group acting by separated-graph automorphisms, given by a
     full permutation table; the homomorphism property is verified, never
     assumed."""
@@ -496,12 +501,19 @@ def action_to_json(action: GraphAction) -> dict:
     return {"group": group_to_json(action.group), "table": dict(sorted(table.items()))}
 
 
+def _id_map(raw) -> dict:
+    if not isinstance(raw, dict) or not all(isinstance(x, str) for kv in raw.items() for x in kv):
+        raise TypeError(f"expected an object mapping strings to strings, got {raw!r}")
+    return dict(raw)
+
+
 def action_from_json(data: dict) -> GraphAction:
     try:
         group = group_from_json(data["group"])
         table = {}
         for key, maps in data["table"].items():
-            table[group.parse(key)] = GraphMorphism(dict(maps["vertices"]), dict(maps["edges"]))
+            vmap, emap = _id_map(maps["vertices"]), _id_map(maps["edges"])
+            table[group.parse(key)] = GraphMorphism(vmap, emap)
     except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a table that is no object
         raise GroupError(f"malformed action JSON: {exc}") from None
     return GraphAction(group, table)
@@ -510,8 +522,7 @@ def action_from_json(data: dict) -> GraphAction:
 # -- reconstruction of free actions ------------------------------------------
 
 
-@dataclass
-class GrossTuckerResult:
+class GrossTuckerResult(NamedTuple):
     """A free action presented as a skew product over its quotient graph.
 
     ``iso`` maps the rebuilt skew product onto the original graph; it passes

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -63,8 +63,7 @@ from .sampling import (
 DEFAULT_SEED = 271828
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

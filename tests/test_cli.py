@@ -17,6 +17,18 @@ A2 = {
     "separation": {"v": [["a1"], ["a2"]]},
 }
 
+LOOP = {
+    "vertices": ["v"],
+    "edges": [{"id": "a", "src": "v", "dst": "v"}],
+    "separation": {"v": [["a"]]},
+}
+
+# an action table whose vertex image is a list, not a vertex id
+LIST_IMAGE = {
+    "group": {"type": "zmod", "n": 1},
+    "table": {"0": {"vertices": {"v": ["v"]}, "edges": {"a": "a"}}},
+}
+
 PAIR = {
     "vertices": ["v"],
     "edges": [
@@ -370,6 +382,12 @@ def test_outputs_are_deterministic(capsys, a2_file):
         ({"lab": {"a1": "a", "a2": "a"}},
          ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": ["a", "a"]}}',
           "--label", "{lab}", "a1 a2"]),
+        ({"g": LOOP, "act": LIST_IMAGE}, ["quotient", "--graph", "{g}", "--action", "{act}"]),
+        ({"g": LOOP, "act": LIST_IMAGE}, ["gross-tucker", "--graph", "{g}", "--action", "{act}"]),
+        ({"g": LOOP, "act": LIST_IMAGE}, ["act", "--graph", "{g}", "--action", "{act}", "0", "a"]),
+        ({"lab": {"a1": [], "a2": []}},
+         ["grade", "--graph", "{a2}", "--group", '{{"type": "product", "factors": []}}',
+          "--label", "{lab}", "a1 a2"]),
     ],
 )
 def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
@@ -470,8 +488,13 @@ def test_closed_stdout_pipe_exits_1_without_traceback():
 def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, sepgraph.cli; print('sepgraph.selftest' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True
-    ).stdout
-    assert out.strip() == "False"
+    # records and groups are written without dataclasses, which loads inspect, ast and dis
+    for imports, module in [
+        ("sepgraph.cli", "sepgraph.selftest"),
+        ("sepgraph.cli, sepgraph.selftest", "dataclasses"),
+    ]:
+        code = f"import sys, {imports}; print({module!r} in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, text=True, check=True
+        ).stdout
+        assert out.strip() == "False", (imports, module)

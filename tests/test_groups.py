@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -73,6 +74,39 @@ def test_group_elements_are_values():
     with pytest.raises(GroupError, match="different groups"):
         z2.element(1) * z4.element(1)
     assert {F2.generator("a") * F2.generator("b"): 1} == {F2.parse("a.b"): 1}
+
+
+class Relabeled(CyclicGroup):
+    """A group class with CyclicGroup's slot: equal slots, but another group."""
+
+
+@pytest.mark.parametrize(
+    "make,other",
+    [
+        (lambda: CyclicGroup(2), ProductGroup((CyclicGroup(2),))),
+        (lambda: IntegerGroup(), CyclicGroup(1)),
+        (lambda: FreeGroup(("a", "b")), FreeGroup(("b", "a"))),
+        (lambda: ProductGroup((Z3, IntegerGroup())), ProductGroup((IntegerGroup(), Z3))),
+        (lambda: Relabeled(2), CyclicGroup(2)),
+    ],
+    ids=["zmod", "z", "free", "product", "subclass"],
+)
+def test_groups_are_immutable_values(make, other):
+    group, twin = make(), make()
+    assert group is not twin and group == twin and hash(group) == hash(twin)
+    assert group != other and other != group
+    assert pickle.loads(pickle.dumps(group)) == group and eval(repr(group)) == group
+    with pytest.raises(AttributeError):
+        group.modulus = 3
+    with pytest.raises(AttributeError):
+        del group.modulus
+
+
+def test_product_group_needs_a_factor():
+    with pytest.raises(GroupError, match="needs a factor"):
+        ProductGroup(())
+    with pytest.raises(GroupError, match="needs a factor"):
+        group_from_json({"type": "product", "factors": []})
 
 
 def test_identity_element():
