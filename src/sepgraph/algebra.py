@@ -18,6 +18,10 @@ Arbitrary generator words are rewritten to that basis by a confluent system:
 Every branch strictly decreases (word length, number of R3 redexes), so
 rewriting terminates.  It runs as one stack pass over the word per branch,
 without recursion, so cancellation is linear in the word length.
+
+Two normal words meet in one new adjacent pair, the *junction*, and every rule
+reads two adjacent letters; so a product's concatenated term pair is normal
+unless its junction is a forbidden pair, and only then is it folded.
 """
 
 from __future__ import annotations
@@ -146,7 +150,7 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     )
 
 
-def _fold(ctx: LeavittContext, steps: tuple) -> dict:
+def _fold(ctx: LeavittContext, steps: tuple, split: int = 0) -> dict:
     """Rewrite a composable word to normal form; returns {NormalWord: +/-1}.
 
     One stack pass per branch, leftmost redex first.  A normal word comes back
@@ -156,11 +160,20 @@ def _fold(ctx: LeavittContext, steps: tuple) -> dict:
     and the next letter: R1 pops, R2 kills the branch, and R3 pops ``e_X`` and
     queues, for every other ``f`` of the cell, a copy of the stack with ``f f*``
     pending before the rest of the input and the sign negated.
+
+    A product's junction ``split`` says that ``steps[:split]`` and
+    ``steps[split:]`` are normal: the stack starts as the first, and once a
+    letter goes on cleanly with nothing pending, the rest of the input is
+    appended as it stands.  After an input letter that is sound because the
+    second word is normal.  After a pending ``f*`` too: R3 queued it on an
+    input ``e_X*``, and in the normal second word the letter after ``e_X*`` is
+    no unstarred edge of the cell of ``e_X``, which is the cell of ``f``.
     """
     table = ctx.graph.step_table()
     chosen = ctx._chosen
     n = len(steps)
-    stack, pending, i, sign = [steps[0]], (), 1, 1
+    start = split or 1
+    stack, pending, i, sign = list(steps[:start]), (), start, 1
     fired = False
     work = []
     out = {}
@@ -190,6 +203,9 @@ def _fold(ctx: LeavittContext, steps: tuple) -> dict:
                             work.append((stack[:], branch, i, -sign))
                     continue
             stack.append(b)
+            if split and not pending:
+                stack += steps[i:]
+                break
         if not fired:  # the word is normal as it stands
             return {NormalWord(None, steps): 1}
         if sign:
@@ -330,32 +346,52 @@ class AlgebraElement(LinearCombination):
         for w2, c2 in other.terms.items():
             start = w2.vertex if w2.vertex is not None else table[w2.steps[0]][0]
             by_source.setdefault(start, []).append((w2, c2))
-        # the hottest loop of every product, so accumulate() is written out
-        # here: no generator per term pair, and a +1 sign costs no multiply
+        # the hottest loop of every product: no generator per term pair, and
+        # _add keeps the dict free of zeros, so it becomes the result as it is
         acc = {}
         for w1, c1 in self.terms.items():
-            vertex = w1.vertex
-            end = vertex if vertex is not None else table[w1.steps[-1]][1]
+            left = w1.steps
+            end = w1.vertex if w1.vertex is not None else table[left[-1]][1]
             for w2, c2 in by_source.get(end, ()):
                 c = c1 * c2
-                if vertex is not None:  # a vertex projection fixes what leaves it
-                    signs = ((w2, 1),)
+                if w1.vertex is not None:  # a vertex projection fixes what leaves it
+                    word = w2
                 elif w2.vertex is not None:
-                    signs = ((w1, 1),)
+                    word = w1
+                elif not forbidden_pair(ctx, left[-1], w2.steps[0]):
+                    # two nonempty step words: no shape check is needed
+                    word = tuple.__new__(NormalWord, (None, left + w2.steps))
                 else:
-                    signs = _fold(ctx, w1.steps + w2.steps).items()
-                for word, sign in signs:
-                    prev = acc.get(word)
-                    term = c if sign == 1 else c * sign
-                    acc[word] = term if prev is None else prev + term
-        return AlgebraElement(ctx, acc)
+                    for word, sign in _fold(ctx, left + w2.steps, len(left)).items():
+                        _add(acc, word, c if sign == 1 else c * sign)
+                    continue
+                _add(acc, word, c)
+        return _owned(ctx, acc)
 
     def star(self) -> "AlgebraElement":
         """The adjoint: words reversed with orientations flipped, coefficients
         conjugated.  Normal words are closed under this, so no rewriting runs;
         reversal is injective on words, so no two terms meet."""
-        terms = {w.adjoint(): c.conjugate() for w, c in self.terms.items()}
-        return AlgebraElement(self.ctx, terms)
+        return _owned(self.ctx, {w.adjoint(): c.conjugate() for w, c in self.terms.items()})
+
+
+def _add(acc: dict, key, c) -> None:
+    """Add a nonzero term into a dict that holds no zero, and keep it so."""
+    prev = acc.get(key)
+    if prev is None:
+        acc[key] = c
+    elif total := prev + c:
+        acc[key] = total
+    else:
+        del acc[key]
+
+
+def _owned(ctx: LeavittContext, terms: dict) -> AlgebraElement:
+    """An element over ``terms`` as it is, without the constructor's copy and
+    filter: the caller hands over a dict of its own that holds no zero."""
+    x = object.__new__(AlgebraElement)
+    x.ctx, x.terms = ctx, terms
+    return x
 
 
 def zero(ctx: LeavittContext) -> AlgebraElement:

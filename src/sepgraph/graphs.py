@@ -9,6 +9,7 @@ code relies on that stability to make representative choices deterministic.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,7 +63,7 @@ class SeparatedGraph:
     """
 
     __slots__ = (
-        "vertices", "edges", "separation", "_edge_by_id", "_out", "_steps", "_moves"
+        "vertices", "edges", "separation", "_edge_by_id", "_out", "_steps", "_moves", "_valid"
     )
 
     def __init__(
@@ -86,6 +87,7 @@ class SeparatedGraph:
             if e.src in self._out:
                 self._out[e.src].append(e.id)
         self._steps = self._moves = None  # built on first use, then shared by every context
+        self._valid = False  # set by the first require_valid() that passes
 
     # -- lookups -----------------------------------------------------------
 
@@ -155,9 +157,14 @@ class SeparatedGraph:
     # -- validity ----------------------------------------------------------
 
     def require_valid(self) -> None:
+        """Raise unless :func:`validate` finds nothing.  A passed check is kept,
+        like the step table; an invalid graph is checked again on every call."""
+        if self._valid:
+            return
         problems = validate(self)
         if problems:
             raise GraphError("invalid separated graph: " + "; ".join(problems))
+        self._valid = True
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -510,18 +517,21 @@ def read_graph_json(data) -> SeparatedGraph:
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
     _require_strings(vertices, "vertices")
-    for e in edges:
-        _require_strings([e.id, e.src, e.dst], f"edge {e.id!r}")
+    if not {*map(type, chain.from_iterable(edges))} <= {str}:  # name the first bad edge
+        for e in edges:
+            _require_strings(list(e), "edge {!r}", e.id)
     if not isinstance(separation, dict):
         raise GraphError("malformed graph JSON: separation must be an object")
     for v, cells in separation.items():
         if not isinstance(cells, list):
             raise GraphError(f"malformed graph JSON: separation at {v!r} must be a list of cells")
         for cell in cells:
-            _require_strings(cell, f"separation cell at {v!r}")
+            _require_strings(cell, "separation cell at {!r}", v)
     return SeparatedGraph(vertices, edges, separation)
 
 
-def _require_strings(values, what: str) -> None:
-    if not isinstance(values, list) or not all(isinstance(x, str) for x in values):
-        raise GraphError(f"malformed graph JSON: {what} must be a list of strings")
+def _require_strings(values, what: str, *args) -> None:
+    """``values`` must be a list of strings; ``what.format(*args)`` names it
+    in the error, and is only formatted then."""
+    if not isinstance(values, list) or not {*map(type, values)} <= {str}:
+        raise GraphError(f"malformed graph JSON: {what.format(*args)} must be a list of strings")

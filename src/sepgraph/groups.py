@@ -11,6 +11,7 @@ crossed-product machinery require that.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import (
@@ -27,6 +28,9 @@ from .graphs import (
 
 class GroupError(Exception):
     pass
+
+
+MAX_ORDER = 10**6  # elements() rejects a larger group before building anything
 
 
 class GroupElement:
@@ -110,11 +114,9 @@ class Group:
     def elements(self) -> list:
         if not self.is_finite:
             raise GroupError(f"{self} is not finite; cannot enumerate its elements")
+        if self.order > MAX_ORDER:
+            raise GroupError(f"{self} has {self.order} elements; at most {MAX_ORDER} can be enumerated")
         return [GroupElement(self, v) for v in self._values()]
-
-    @property
-    def order(self) -> int:
-        return len(self._values())
 
     def parse(self, text: str) -> GroupElement:
         return GroupElement(self, self._parse(text.strip()))
@@ -249,6 +251,10 @@ class CyclicGroup(Group):
     def _normalize(self, raw):
         return _require_int(raw, "residue") % self.modulus
 
+    @property
+    def order(self) -> int:
+        return self.modulus
+
     def _values(self):
         return list(range(self.modulus))
 
@@ -302,6 +308,10 @@ class ProductGroup(Group):
         if len(raw) != len(self.factors):
             raise GroupError(f"expected {len(self.factors)} components, got {len(raw)}")
         return tuple(f.from_literal(x).value for f, x in zip(self.factors, raw))
+
+    @property
+    def order(self) -> int:
+        return math.prod(f.order for f in self.factors)
 
     def _values(self):
         return [tuple(v) for v in itertools.product(*(f._values() for f in self.factors))]
@@ -502,7 +512,7 @@ def action_to_json(action: GraphAction) -> dict:
 
 
 def _id_map(raw) -> dict:
-    if not isinstance(raw, dict) or not all(isinstance(x, str) for kv in raw.items() for x in kv):
+    if not isinstance(raw, dict) or not {*map(type, raw), *map(type, raw.values())} <= {str}:
         raise TypeError(f"expected an object mapping strings to strings, got {raw!r}")
     return dict(raw)
 

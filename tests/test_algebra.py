@@ -292,6 +292,49 @@ def test_mul_is_associative_on_samples():
         assert (x * y) * z == x * (y * z)
 
 
+def junction_kind(ctx, a, b):
+    """Which rule the pair ``a b`` starts, by the rules' own definitions."""
+    cell = ctx.graph.cell_of
+    if a.star and not b.star and cell(a.edge) == cell(b.edge):
+        return "R1" if a.edge == b.edge else "R2"
+    if not a.star and b.star and a.edge == b.edge and a.edge in ctx.ex_choice.values():
+        return "R3" if len(ctx.graph.cell_edges(*cell(a.edge))) == 1 else "R3 spliced"
+    return "normal"
+
+
+def test_products_of_normal_words_are_their_rightmost_reductions():
+    # every junction kind, and R3 both with and without spliced branches;
+    # the reference folds the whole concatenation from the right, in a
+    # context of its own, and a non-composable pair multiplies to zero
+    seen = {"normal": 0, "R1": 0, "R2": 0, "R3": 0, "R3 spliced": 0, "non_composable": 0}
+    for seed in range(90):
+        rng = random.Random(seed)
+        graph = bouquet_graph(2) if seed % 9 == 0 else random_separated_graph(rng, max_vertices=2)
+        ctx, ref_ctx = LeavittContext(graph), LeavittContext(graph)
+        words = [random_normal_word(rng, ctx, max_len=4, min_len=0) for _ in range(12)]
+        for w1 in words:
+            for w2 in words:
+                product = from_word(ctx, w1) * from_word(ctx, w2)
+                start = w1.vertex or graph.source(w1.steps[0])
+                meets = w1.vertex or graph.range(w1.steps[-1])
+                if meets != (w2.vertex or graph.source(w2.steps[0])):
+                    seen["non_composable"] += 1
+                    assert product.is_zero
+                    continue
+                if w1.steps and w2.steps:
+                    seen[junction_kind(ctx, w1.steps[-1], w2.steps[0])] += 1
+                steps = w1.steps + w2.steps
+                assert product == reduce_word(ref_ctx, steps, base=start, strategy="rightmost")
+        # p = e e* is idempotent, so p (v - p) = 0; with e chosen in a cell of
+        # several edges p has several terms, and the product's sums cancel
+        for e in graph.edges:
+            p = reduce_word(ctx, (fwd(e.id), bwd(e.id)))
+            q = vertex_element(ctx, e.src) - p
+            assert p * p == p
+            assert (p * q).terms == {} and (q * p).terms == {}
+    assert min(seen.values()) >= 20, seen
+
+
 def test_mul_is_the_sum_of_composable_term_pair_reductions():
     # vertex terms and non-composable pairs on purpose: the reference reduces
     # every term pair by the other strategy in its own context, and a pair

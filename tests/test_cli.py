@@ -291,6 +291,7 @@ def test_input_errors_exit_2(capsys, a2_file):
         ["cayley", "--group", "zmod:0", "--generators", "1"],
         ["cayley", "--group", "zmod:-3", "--generators", "1"],
         ["skew", "--graph", "{a2}", "--label", "{a2}", "--group", "zmod:2"],
+        ["cayley", "--group", f"zmod:{10**12}", "--generators", "1"],  # too many to enumerate
     ],
 )
 def test_bad_group_or_labeling_exits_2(capsys, a2_file, argv):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepgraph import graphs
+from sepgraph.algebra import LeavittContext
 from sepgraph.graphs import (
     Edge,
     GraphError,
@@ -82,6 +84,31 @@ def test_operations_refuse_invalid_graphs():
     broken = SeparatedGraph(["v"], [("a", "v", "v")], {"v": []})
     with pytest.raises(GraphError):
         broken.require_valid()
+
+
+def test_a_passed_validation_is_kept_and_a_failed_one_is_not(monkeypatch):
+    check = graphs.validate
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return check(graph)
+
+    monkeypatch.setattr(graphs, "validate", counting)
+    graph = graph_from_json(graph_to_json(TWO_CYCLE))
+    graph.require_valid()
+    LeavittContext(graph)
+    z2 = CyclicGroup(2)
+    quotient_graph(graph, identity_action(graph, z2))
+    skew_product(graph, Labeling(z2, {e.id: z2.element(1) for e in graph.edges}))
+    assert [g is graph for g in calls] == [True]
+    broken = SeparatedGraph(["v"], [("a", "v", "v")], {"v": []})
+    for attempt in range(1, 3):
+        with pytest.raises(GraphError, match="uncovered edge 'a'"):
+            broken.require_valid()
+        with pytest.raises(GraphError, match="uncovered edge 'a'"):
+            LeavittContext(broken)
+        assert sum(g is broken for g in calls) == 2 * attempt
 
 
 # -- paths ---------------------------------------------------------------------

@@ -109,6 +109,15 @@ def test_product_group_needs_a_factor():
         group_from_json({"type": "product", "factors": []})
 
 
+def test_groups_too_large_to_enumerate_are_rejected_before_any_allocation():
+    huge = CyclicGroup(10**12)
+    square = ProductGroup((CyclicGroup(10**6), CyclicGroup(10**6)))
+    assert huge.order == square.order == 10**12
+    for group in (huge, square):
+        with pytest.raises(GroupError, match=f"has {10**12} elements; at most {groups.MAX_ORDER}"):
+            group.elements()
+
+
 def test_identity_element():
     assert Z3.identity() == Z3.element(0)
     assert F2.identity().value == ()
