@@ -150,30 +150,25 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     )
 
 
-def _fold(ctx: LeavittContext, steps: tuple, split: int = 0) -> dict:
+def _fold(ctx: LeavittContext, steps: tuple) -> dict:
     """Rewrite a composable word to normal form; returns {NormalWord: +/-1}.
 
     One stack pass per branch, leftmost redex first.  A normal word comes back
-    unchanged, so this is also the one way into the basis.
+    unchanged, so this is also the one way into the basis for a word not known
+    to be normal.
 
     The stack holds a normal prefix, so a rule can only fire between its top
     and the next letter: R1 pops, R2 kills the branch, and R3 pops ``e_X`` and
     queues, for every other ``f`` of the cell, a copy of the stack with ``f f*``
     pending before the rest of the input and the sign negated.
 
-    A product's junction ``split`` says that ``steps[:split]`` and
-    ``steps[split:]`` are normal: the stack starts as the first, and once a
-    letter goes on cleanly with nothing pending, the rest of the input is
-    appended as it stands.  After an input letter that is sound because the
-    second word is normal.  After a pending ``f*`` too: R3 queued it on an
-    input ``e_X*``, and in the normal second word the letter after ``e_X*`` is
-    no unstarred edge of the cell of ``e_X``, which is the cell of ``f``.
+    A product of two normal words comes here only when its junction is a
+    :func:`forbidden_pair`; any other junction leaves the concatenation normal.
     """
     table = ctx.graph.step_table()
     chosen = ctx._chosen
     n = len(steps)
-    start = split or 1
-    stack, pending, i, sign = list(steps[:start]), (), start, 1
+    stack, pending, i, sign = [steps[0]], (), 1, 1
     fired = False
     work = []
     out = {}
@@ -203,9 +198,6 @@ def _fold(ctx: LeavittContext, steps: tuple, split: int = 0) -> dict:
                             work.append((stack[:], branch, i, -sign))
                     continue
             stack.append(b)
-            if split and not pending:
-                stack += steps[i:]
-                break
         if not fired:  # the word is normal as it stands
             return {NormalWord(None, steps): 1}
         if sign:
@@ -257,12 +249,18 @@ def reduce_word(
 def accumulate(acc: dict, pairs) -> dict:
     """Add (basis key, coefficient) pairs into ``acc`` in place; returns it.
 
-    The one linear-combination step of both element types.  Zero sums stay in
-    the dict; the element constructors drop them.
+    The one linear-combination step of both element types.  A key whose sum
+    cancels is deleted, so nonzero pairs added to a dict without zeros leave
+    it without zeros.
     """
     for key, c in pairs:
         prev = acc.get(key)
-        acc[key] = c if prev is None else prev + c
+        if prev is None:
+            acc[key] = c
+        elif total := prev + c:
+            acc[key] = total
+        else:
+            del acc[key]
     return acc
 
 
@@ -346,44 +344,31 @@ class AlgebraElement(LinearCombination):
         for w2, c2 in other.terms.items():
             start = w2.vertex if w2.vertex is not None else table[w2.steps[0]][0]
             by_source.setdefault(start, []).append((w2, c2))
-        # the hottest loop of every product: no generator per term pair, and
-        # _add keeps the dict free of zeros, so it becomes the result as it is
-        acc = {}
+        # the hottest loop of every product: the term pairs are listed and
+        # added in one accumulate() call, whose dict holds no zero, since a
+        # product of nonzero coefficients is nonzero; so it is the result
+        pairs = []
         for w1, c1 in self.terms.items():
             left = w1.steps
             end = w1.vertex if w1.vertex is not None else table[left[-1]][1]
             for w2, c2 in by_source.get(end, ()):
                 c = c1 * c2
                 if w1.vertex is not None:  # a vertex projection fixes what leaves it
-                    word = w2
+                    pairs.append((w2, c))
                 elif w2.vertex is not None:
-                    word = w1
+                    pairs.append((w1, c))
                 elif not forbidden_pair(ctx, left[-1], w2.steps[0]):
-                    # two nonempty step words: no shape check is needed
-                    word = tuple.__new__(NormalWord, (None, left + w2.steps))
+                    pairs.append((NormalWord(None, left + w2.steps), c))
                 else:
-                    for word, sign in _fold(ctx, left + w2.steps, len(left)).items():
-                        _add(acc, word, c if sign == 1 else c * sign)
-                    continue
-                _add(acc, word, c)
-        return _owned(ctx, acc)
+                    for word, sign in _fold(ctx, left + w2.steps).items():
+                        pairs.append((word, c if sign == 1 else c * sign))
+        return _owned(ctx, accumulate({}, pairs))
 
     def star(self) -> "AlgebraElement":
         """The adjoint: words reversed with orientations flipped, coefficients
         conjugated.  Normal words are closed under this, so no rewriting runs;
         reversal is injective on words, so no two terms meet."""
         return _owned(self.ctx, {w.adjoint(): c.conjugate() for w, c in self.terms.items()})
-
-
-def _add(acc: dict, key, c) -> None:
-    """Add a nonzero term into a dict that holds no zero, and keep it so."""
-    prev = acc.get(key)
-    if prev is None:
-        acc[key] = c
-    elif total := prev + c:
-        acc[key] = total
-    else:
-        del acc[key]
 
 
 def _owned(ctx: LeavittContext, terms: dict) -> AlgebraElement:

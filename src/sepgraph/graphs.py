@@ -9,7 +9,6 @@ code relies on that stability to make representative choices deterministic.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -517,21 +516,18 @@ def read_graph_json(data) -> SeparatedGraph:
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from None
     _require_strings(vertices, "vertices")
-    if not {*map(type, chain.from_iterable(edges))} <= {str}:  # name the first bad edge
-        for e in edges:
-            _require_strings(list(e), "edge {!r}", e.id)
+    for e in edges:
+        _require_strings([e.id, e.src, e.dst], f"edge {e.id!r}")
     if not isinstance(separation, dict):
         raise GraphError("malformed graph JSON: separation must be an object")
     for v, cells in separation.items():
         if not isinstance(cells, list):
             raise GraphError(f"malformed graph JSON: separation at {v!r} must be a list of cells")
         for cell in cells:
-            _require_strings(cell, "separation cell at {!r}", v)
+            _require_strings(cell, f"separation cell at {v!r}")
     return SeparatedGraph(vertices, edges, separation)
 
 
-def _require_strings(values, what: str, *args) -> None:
-    """``values`` must be a list of strings; ``what.format(*args)`` names it
-    in the error, and is only formatted then."""
+def _require_strings(values, what: str) -> None:
     if not isinstance(values, list) or not {*map(type, values)} <= {str}:
-        raise GraphError(f"malformed graph JSON: {what.format(*args)} must be a list of strings")
+        raise GraphError(f"malformed graph JSON: {what} must be a list of strings")
