@@ -26,6 +26,7 @@ unless its junction is a forbidden pair, and only then is it folded.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -88,7 +89,8 @@ class LeavittContext:
     The choice parameterizes the basis; the default is the lexicographically
     smallest edge id in each cell.  The graph's step table is shared by every
     context over it; a context adds only its set of chosen edges, the
-    expectation's memo and the fiberwise choices it passed.
+    expectation's memo (bounded: past ``expectation.MEMO_ENTRIES`` words it
+    drops its oldest) and the fiberwise choices it passed.
     """
 
     __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache", "compatible_with")
@@ -108,7 +110,7 @@ class LeavittContext:
                 )
             self._chosen.add(eid)
         self.ex_choice = choice
-        self.expect_cache = {}
+        self.expect_cache = OrderedDict()
         # base context -> the SkewProduct this context's choice was checked
         # against fiberwise (crossed.phi_map); only passed checks are kept
         self.compatible_with = {}

@@ -55,14 +55,22 @@ class InputError(Exception):
     pass
 
 
+def _decode_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError(f"{where}: JSON nested too deeply") from None
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    return _decode_json(text, path)
 
 
 def _dump(data) -> None:
@@ -84,7 +92,7 @@ def _load_group(spec: str):
     if spec.startswith("free:"):
         return FreeGroup(tuple(spec.split(":", 1)[1].split(",")))
     if spec.startswith("{"):
-        return group_from_json(json.loads(spec))
+        return group_from_json(_decode_json(spec, "--group"))
     if os.path.exists(spec):
         return group_from_json(_load_json(spec))
     raise InputError(f"unrecognized group spec {spec!r}")

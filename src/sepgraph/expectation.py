@@ -31,6 +31,13 @@ context.  Where deletions expose no cancellation (blocks ``x (b b*) x*`` with
 x alternating between two cells) the prefixes stay distinct, and the walk is
 exponential in t like the expansion it replaces, only with a smaller base.
 
+The memo (``LeavittContext.expect_cache``) maps weakly reduced words to N.
+It is asked for a term's own word before that word is weakly reduced: N of a
+word is N of its weak reduction, so any hit is right, and a normal word is
+already weakly reduced (each weak rule's pair is forbidden in it), so a
+repeated normal term hits.  It keeps at most :data:`MEMO_ENTRIES` words,
+dropping the oldest.
+
 For an ordinary (trivially separated) row-finite graph the expectation has the
 closed form ``n_mu P_{s(mu)}`` with ``n_mu`` the inverse product of the
 out-degrees along the path; :func:`phi_ordinary` computes that directly and
@@ -56,6 +63,9 @@ from .graphs import GraphError, GraphPath, SeparatedGraph, SignedEdge
 
 
 _APPEND, _CANCEL, _KILL = range(3)
+
+# the most words a context's expectation memo keeps
+MEMO_ENTRIES = 1 << 14
 
 
 def _junction(table: dict, a: SignedEdge, b: SignedEdge) -> int:
@@ -162,7 +172,14 @@ def _pair_occurrences(steps: tuple) -> list:
 
 
 def _n_value(ctx: LeavittContext, steps: tuple) -> Fraction:
-    """The rational N with P(S_w) = N * P_{s(w)} for a composable word w."""
+    """The rational N with P(S_w) = N * P_{s(w)} for a composable word w.
+
+    The memo is asked for w before w is weakly reduced: N(w) is N of w's weak
+    reduction, so a hit is sound even when w is not weakly reduced.
+    """
+    cached = ctx.expect_cache.get(steps)
+    if cached is not None:
+        return cached
     reduced = weakly_reduce(ctx.graph, steps)
     if reduced is None:
         return Fraction(0)
@@ -222,7 +239,10 @@ def _n_reduced(ctx: LeavittContext, steps: tuple) -> Fraction:
             if coeff:
                 total -= coeff * _n_reduced(ctx, prefixes.word(node))
         total /= scale
-    ctx.expect_cache[steps] = total
+    cache = ctx.expect_cache
+    cache[steps] = total
+    if len(cache) > MEMO_ENTRIES:
+        cache.popitem(last=False)
     return total
 
 

@@ -403,6 +403,24 @@ def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["graph-file", "inline-group"])
+def test_json_nested_past_the_recursion_limit_exits_2(capsys, tmp_path, where):
+    if where == "graph-file":
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = ["reduce", "--graph", str(deep), "a"]
+    else:
+        spec = '{"type": "zmod", "n": 2}'
+        for _ in range(600):
+            spec = '{"type": "product", "factors": [' + spec + "]}"
+        argv = ["cayley", "--group", spec, "--generators", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_a_call_builds_only_its_subcommands_parser(capsys, monkeypatch, a2_file):
     built = []
     init = cli.argparse.ArgumentParser.__init__

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from sepgraph import expectation
 from sepgraph.algebra import (
+    AlgebraElement,
     LeavittContext,
     NormalWord,
     component,
@@ -36,10 +38,12 @@ from sepgraph.sampling import (
     random_element,
     random_forward_path,
     random_labeling,
+    random_normal_word,
     random_ordinary_graph,
     random_reduced_free_word,
     random_separated_graph,
 )
+from sepgraph.scalars import ONE
 
 
 def bouquet(n):
@@ -328,3 +332,79 @@ def test_expectation_is_idempotent():
         x = random_element(rng, ctx)
         value = expect(x)
         assert expect(value) == value
+
+
+# -- the memo -------------------------------------------------------------------------
+
+
+def test_normal_words_are_weakly_reduced():
+    # each weak rule's pair is forbidden in a normal word, so the memo can be
+    # asked for a normal term's own steps
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(30):
+        graph = random_separated_graph(rng)
+        ctx = LeavittContext(graph)
+        for _ in range(20):
+            word = random_normal_word(rng, ctx, max_len=10)
+            if not word.is_vertex:
+                assert weakly_reduce(graph, word.steps) == word.steps, word
+                checked += 1
+    assert checked >= 500
+
+
+def _count_weak_reductions(monkeypatch):
+    calls = []
+    real = expectation.weakly_reduce
+
+    def counting(graph, steps):
+        calls.append(steps)
+        return real(graph, steps)
+
+    monkeypatch.setattr(expectation, "weakly_reduce", counting)
+    return calls
+
+
+def test_a_warm_expect_weakly_reduces_no_term(monkeypatch):
+    calls = _count_weak_reductions(monkeypatch)
+    ctx = LeavittContext(fig5())
+    words = [
+        (fwd("al2"), bwd("al2")),
+        (fwd("be2"), bwd("be2")),
+        (fwd("al2"), bwd("al2"), fwd("be2"), bwd("be2")),
+    ]
+    x = AlgebraElement(ctx, {NormalWord.of_steps(w): ONE for w in words})
+    cold = expect(x)
+    assert calls == words  # one per distinct term
+    calls.clear()
+    assert expect(x) == cold
+    assert calls == []
+
+
+def test_a_warm_expect_on_random_elements_weakly_reduces_nothing(monkeypatch):
+    calls = _count_weak_reductions(monkeypatch)
+    rng = random.Random(43)
+    for _ in range(10):
+        ctx = LeavittContext(random_separated_graph(rng))
+        for _ in range(10):
+            x = random_element(rng, ctx, max_terms=4, max_len=8)
+            cold = expect(x)
+            calls.clear()
+            assert expect(x) == cold
+            assert calls == []
+
+
+def test_the_memo_keeps_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(expectation, "MEMO_ENTRIES", 64)
+    rng = random.Random(47)
+    graph = fig5()
+    ctx = LeavittContext(graph)
+    for _ in range(2000):
+        word = random_normal_word(rng, ctx, max_len=8)
+        x = from_word(ctx, word)
+        y = x * x.star()
+        value = expect(y)
+        assert len(ctx.expect_cache) <= 64
+        fresh = LeavittContext(graph)
+        assert value == expect(AlgebraElement(fresh, y.terms))
+    assert len(ctx.expect_cache) == 64  # the bound was reached, so words were dropped

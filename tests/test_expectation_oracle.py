@@ -14,10 +14,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepgraph.algebra import LeavittContext, NormalWord, from_word, vertex_element
+from sepgraph.algebra import AlgebraElement, LeavittContext, NormalWord, from_word, vertex_element
 from sepgraph.expectation import _n_value, expect
 from sepgraph.graphs import SeparatedGraph, SignedEdge
 from sepgraph.sampling import random_composable_word, random_separated_graph
+from sepgraph.scalars import ONE
 
 MAX_OCCURRENCES = 10
 
@@ -233,3 +234,43 @@ def test_fig5_family_matches_the_free_projection_moments():
         assert value == vertex_element(ctx, "v").scale(closed), k
         if 2 * k <= MAX_OCCURRENCES:
             assert_walk_matches_oracle(graph, block * k)
+
+
+def assert_cold_and_warm_match_oracle(ctx, steps):
+    """``expect`` of the one-term element on ``steps``, built without reducing
+    it, twice over one context, against the oracle."""
+    graph = ctx.graph
+    x = AlgebraElement(ctx, {NormalWord.of_steps(steps): ONE})
+    value = subset_n_value(graph, steps, {})
+    oracle = vertex_element(ctx, graph.source(steps[0])).scale(value)
+    assert expect(x) == oracle, steps  # cold
+    assert expect(x) == oracle, steps  # warm
+
+
+def test_terms_that_are_not_weakly_reduced_match_the_oracle():
+    # v has the cells {a, b} and {c}: a* a cancels, a* b kills, the singleton
+    # pair c c* cancels, and a a* and b b* stay
+    graph = SeparatedGraph(
+        ["v"],
+        [("a", "v", "v"), ("b", "v", "v"), ("c", "v", "v")],
+        {"v": [["a", "b"], ["c"]]},
+    )
+    ctx = LeavittContext(graph)
+    for text in ["a* a b", "a* a b b*", "a* b b* a", "a c c* a*", "b b* a a*", "c c* b b*"]:
+        steps = tuple(SignedEdge(t.rstrip("*"), t.endswith("*")) for t in text.split())
+        assert subset_weakly_reduce(graph, steps) != steps
+        assert_cold_and_warm_match_oracle(ctx, steps)
+
+
+def test_random_unreduced_terms_match_the_oracle_cold_and_warm():
+    rng = random.Random(11)
+    unreduced = 0
+    for _ in range(20):
+        graph = random_separated_graph(rng, max_vertices=3)
+        ctx = LeavittContext(graph)
+        for _ in range(10):
+            steps = backtracking_word(rng, graph, max_len=10)
+            if within_oracle_reach(graph, steps):
+                assert_cold_and_warm_match_oracle(ctx, steps)
+                unreduced += subset_weakly_reduce(graph, steps) != steps
+    assert unreduced >= 100
