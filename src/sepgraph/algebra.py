@@ -19,9 +19,11 @@ Every branch strictly decreases (word length, number of R3 redexes), so
 rewriting terminates.  It runs as one stack pass over the word per branch,
 without recursion, so cancellation is linear in the word length.
 
-Two normal words meet in one new adjacent pair, the *junction*, and every rule
-reads two adjacent letters; so a product's concatenated term pair is normal
-unless its junction is a forbidden pair, and only then is it folded.
+Every rule reads two adjacent letters, so R1-R3 are one rule, :func:`junction`,
+which every fold reads; with no chosen edge it gives the expectation's weak
+rules.  Two normal words meet in one new adjacent pair, the *junction*, so a
+product's term pair is normal unless its junction is forbidden, and only then
+is it folded.
 """
 
 from __future__ import annotations
@@ -133,13 +135,28 @@ def default_ex_choice(graph: SeparatedGraph) -> dict:
     }
 
 
+APPEND, CANCEL, KILL, SPLIT = range(4)
+
+
+def junction(table: dict, chosen, a: SignedEdge, b: SignedEdge) -> int:
+    """The rewriting of the adjacent letters ``a b``: ``e* e`` cancels (R1),
+    ``e* f`` for distinct edges of one cell kills (R2), and ``e e*`` cancels
+    for a singleton cell and splits (R3) if ``e`` is in ``chosen``; any other
+    pair appends ``b``.  With ``chosen`` empty these are the weak rules."""
+    if a.star:
+        if not b.star and table[a][2] == table[b][2]:
+            return CANCEL if a.edge == b.edge else KILL
+    elif b.star and a.edge == b.edge:
+        if len(table[a][3]) == 1:
+            return CANCEL
+        return SPLIT if a.edge in chosen else APPEND
+    return APPEND
+
+
 def forbidden_pair(ctx: LeavittContext, a: SignedEdge, b: SignedEdge) -> bool:
     """True iff ``a b`` is a forbidden subword: ``e* f`` with ``e, f`` in one
     cell, or ``e_X e_X*`` for a chosen edge ``e_X``."""
-    if a.star:
-        table = ctx.graph.step_table()
-        return not b.star and table[a][2] == table[b][2]
-    return b.star and a.edge == b.edge and a.edge in ctx._chosen
+    return junction(ctx.graph.step_table(), ctx._chosen, a, b) != APPEND
 
 
 def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
@@ -147,7 +164,7 @@ def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
     steps = tuple(steps)
     table = ctx.graph.step_table()
     return all(
-        table[a][1] == table[b][0] and not forbidden_pair(ctx, a, b)
+        table[a][1] == table[b][0] and junction(table, ctx._chosen, a, b) == APPEND
         for a, b in zip(steps, steps[1:])
     )
 
@@ -160,15 +177,15 @@ def _fold(ctx: LeavittContext, steps: tuple) -> dict:
     to be normal.
 
     The stack holds a normal prefix, so a rule can only fire between its top
-    and the next letter: R1 pops, R2 kills the branch, and R3 pops ``e_X`` and
-    queues, for every other ``f`` of the cell, a copy of the stack with ``f f*``
-    pending before the rest of the input and the sign negated.
+    and the next letter, as :func:`junction` says: KILL ends the branch, CANCEL
+    pops, and SPLIT pops ``e_X`` and queues, for every other ``f`` of the cell,
+    a copy of the stack with ``f f*`` pending before the rest of the input and
+    the sign negated.
 
     A product of two normal words comes here only when its junction is a
     :func:`forbidden_pair`; any other junction leaves the concatenation normal.
     """
-    table = ctx.graph.step_table()
-    chosen = ctx._chosen
+    table, chosen = ctx.graph.step_table(), ctx._chosen
     n = len(steps)
     stack, pending, i, sign = [steps[0]], (), 1, 1
     fired = False
@@ -181,25 +198,20 @@ def _fold(ctx: LeavittContext, steps: tuple) -> dict:
             else:
                 b = steps[i]
                 i += 1
-            if stack:
-                a = stack[-1]
-                if a.star:
-                    if not b.star and table[a][2] == table[b][2]:
-                        fired = True
-                        if a.edge != b.edge:  # R2
-                            sign = 0
-                            break
-                        stack.pop()  # R1
-                        continue
-                elif b.star and a.edge == b.edge and a.edge in chosen:  # R3
-                    fired = True
-                    stack.pop()
-                    for f in reversed(table[a][3]):  # queued to run in cell order
-                        if f != a.edge:
-                            branch = (SignedEdge(f), SignedEdge(f, True)) + pending
-                            work.append((stack[:], branch, i, -sign))
-                    continue
-            stack.append(b)
+            rule = junction(table, chosen, stack[-1], b) if stack else APPEND
+            if rule == APPEND:
+                stack.append(b)
+                continue
+            fired = True
+            if rule == KILL:
+                sign = 0
+                break
+            a = stack.pop()
+            if rule == SPLIT:
+                for f in reversed(table[a][3]):  # queued to run in cell order
+                    if f != a.edge:
+                        branch = (SignedEdge(f), SignedEdge(f, True)) + pending
+                        work.append((stack[:], branch, i, -sign))
         if not fired:  # the word is normal as it stands
             return {NormalWord(None, steps): 1}
         if sign:
@@ -338,7 +350,7 @@ class AlgebraElement(LinearCombination):
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_context(other)
         ctx = self.ctx
-        table = ctx.graph.step_table()
+        table, chosen = ctx.graph.step_table(), ctx._chosen
         # a term pair composes iff the left word's range is the right word's
         # source, so bucket the right terms by source and pair each left term
         # with its range's bucket only: n + m endpoint lookups, not 2nm
@@ -359,7 +371,7 @@ class AlgebraElement(LinearCombination):
                     pairs.append((w2, c))
                 elif w2.vertex is not None:
                     pairs.append((w1, c))
-                elif not forbidden_pair(ctx, left[-1], w2.steps[0]):
+                elif junction(table, chosen, left[-1], w2.steps[0]) == APPEND:
                     pairs.append((NormalWord(None, left + w2.steps), c))
                 else:
                     for word, sign in _fold(ctx, left + w2.steps).items():

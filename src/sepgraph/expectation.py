@@ -16,20 +16,21 @@ All occurrences are expanded at once: the cross terms between occurrences need
 not vanish, so expanding one occurrence at a time is not sound.
 
 The sum is not enumerated set by set.  N of a shortened word depends only on
-its weak reduction, and weak reduction is a left-to-right stack fold whose
-rules fire only at the junction with the next letter (:func:`_junction`).  So
-the word is walked once, carrying the weakly reduced prefixes of the choices
-that deleted some occurrence so far, each holding the summed coefficient of
-every choice that leads to it; choices with equal prefixes merge.  At an
-occurrence each prefix branches into keeping the pair and deleting it
-(coefficient times ``-1/|X|``), and the choice that has kept every pair so far
-(the word's own prefix) adds its deletion.  The 2^t choices for t occurrences
-collapse onto far fewer prefixes wherever deletions let neighbouring letters
-cancel, as on the alternating products ``(p q)^k`` of projections from two
-cells; each final prefix recurses on a strictly shorter word, memoized per
-context.  Where deletions expose no cancellation (blocks ``x (b b*) x*`` with
-x alternating between two cells) the prefixes stay distinct, and the walk is
-exponential in t like the expansion it replaces, only with a smaller base.
+its weak reduction, a left-to-right stack fold whose rules fire only at the
+junction with the next letter: they are :func:`sepgraph.algebra.junction` with
+no chosen edge.  So the word is walked once, carrying the weakly reduced
+prefixes of the choices that deleted some occurrence so far, each holding the
+summed coefficient of every choice that leads to it; choices with equal
+prefixes merge.  At an occurrence each prefix branches into keeping the pair
+and deleting it (coefficient times ``-1/|X|``), and the choice that has kept
+every pair so far (the word's own prefix) adds its deletion.  The 2^t choices
+for t occurrences collapse onto far fewer prefixes wherever deletions let
+neighbouring letters cancel, as on the alternating products ``(p q)^k`` of
+projections from two cells; each final prefix recurses on a strictly shorter
+word, memoized per context.  Where deletions expose no cancellation (blocks
+``x (b b*) x*`` with x alternating between two cells) the prefixes stay
+distinct, and the walk is exponential in t like the expansion it replaces,
+only with a smaller base.
 
 The memo (``LeavittContext.expect_cache``) maps weakly reduced words to N.
 It is asked for a term's own word before that word is weakly reduced: N of a
@@ -50,38 +51,24 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
+    APPEND,
+    CANCEL,
+    KILL,
     AlgebraElement,
     AlgebraError,
     LeavittContext,
     NormalWord,
     accumulate,
     from_word,
+    junction,
     vertex_element,
     zero,
 )
 from .graphs import GraphError, GraphPath, SeparatedGraph, SignedEdge
 
 
-_APPEND, _CANCEL, _KILL = range(3)
-
 # the most words a context's expectation memo keeps
 MEMO_ENTRIES = 1 << 14
-
-
-def _junction(table: dict, a: SignedEdge, b: SignedEdge) -> int:
-    """The weak rule for the adjacent letters ``a b``, read off the step table.
-
-    ``e* e`` cancels, ``e* f`` for distinct edges of one cell kills, and
-    ``e e*`` cancels when the cell of ``e`` is a singleton; otherwise ``b`` is
-    appended.
-    """
-    if a.star and not b.star:
-        if table[a][2] == table[b][2]:
-            return _CANCEL if a.edge == b.edge else _KILL
-    elif not a.star and b.star and a.edge == b.edge:
-        if len(table[a][3]) == 1:
-            return _CANCEL
-    return _APPEND
 
 
 class _Prefixes:
@@ -106,10 +93,10 @@ class _Prefixes:
         out = known.get(step, -1)
         if out == -1:
             top = self._last[node]
-            rule = _APPEND if top is None else _junction(self.table, top, step)
-            if rule == _CANCEL:
+            rule = APPEND if top is None else junction(self.table, (), top, step)
+            if rule == CANCEL:
                 out = self._parent[node]
-            elif rule == _KILL:
+            elif rule == KILL:
                 out = None
             else:
                 out = len(self._last)
@@ -142,10 +129,10 @@ def weakly_reduce(graph: SeparatedGraph, steps: Sequence[SignedEdge]) -> Optiona
     table = graph.step_table()
     stack = []
     for step in steps:
-        rule = _junction(table, stack[-1], step) if stack else _APPEND
-        if rule == _KILL:
+        rule = junction(table, (), stack[-1], step) if stack else APPEND
+        if rule == KILL:
             return None
-        if rule == _CANCEL:
+        if rule == CANCEL:
             stack.pop()
         else:
             stack.append(step)

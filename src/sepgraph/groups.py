@@ -31,6 +31,7 @@ class GroupError(Exception):
 
 
 MAX_ORDER = 10**6  # elements() rejects a larger group before building anything
+MAX_NESTING = 64  # group_from_json rejects products nested deeper: their methods recurse
 
 
 class GroupElement:
@@ -349,7 +350,8 @@ def group_to_json(group: Group) -> dict:
     raise GroupError(f"cannot serialize group {group!r}")
 
 
-def group_from_json(data: dict) -> Group:
+def group_from_json(data: dict, _depth: int = 0) -> Group:
+    """The group a JSON spec names; ``_depth`` counts the enclosing products."""
     try:
         kind = data["type"]
         if kind == "free":
@@ -362,7 +364,9 @@ def group_from_json(data: dict) -> Group:
         if kind == "zmod":
             return CyclicGroup(data["n"])
         if kind == "product":
-            return ProductGroup(tuple(group_from_json(f) for f in data["factors"]))
+            if _depth >= MAX_NESTING:
+                raise GroupError(f"product groups nested more than {MAX_NESTING} deep")
+            return ProductGroup(tuple(group_from_json(f, _depth + 1) for f in data["factors"]))
     except (KeyError, TypeError) as exc:
         raise GroupError(f"malformed group spec: {exc}") from None
     raise GroupError(f"unknown group type {kind!r}")

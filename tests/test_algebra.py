@@ -240,6 +240,25 @@ def test_forbidden_pairs_are_exactly_the_two_letter_redexes(seed):
                 assert is_normal(ctx, (a, b)) == unchanged
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_forbidden_pairs_match_their_definition_under_every_choice(seed):
+    # the definition read off the separation and the choice, not the step table:
+    # e* f with e, f in one cell, or e_X e_X* for the chosen edge e_X
+    rng = random.Random(seed)
+    graph = random_separated_graph(rng, max_vertices=4, max_edges=8)
+    cells = {(v, i): cell for v, cells in graph.separation.items() for i, cell in enumerate(cells)}
+    cell_of = {eid: key for key, cell in cells.items() for eid in cell}
+    largest = {key: max(cell) for key, cell in cells.items()}  # the default takes min
+    for ctx in (LeavittContext(graph), LeavittContext(graph, largest)):
+        for v in graph.vertices:
+            for a in graph.moves(v):
+                for b in graph.moves(graph.range(a)):
+                    cell = cell_of[a.edge]
+                    kills_or_cancels = a.star and not b.star and cell == cell_of[b.edge]
+                    splits = not a.star and b.star and a.edge == b.edge == ctx.ex_choice[cell]
+                    assert forbidden_pair(ctx, a, b) == (kills_or_cancels or splits), (a, b)
+
+
 def test_vertex_absorption_and_orthogonality():
     graph = SeparatedGraph(
         ["v", "w"], [("a", "v", "w")], {"v": [["a"]], "w": []}

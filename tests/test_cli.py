@@ -7,6 +7,7 @@ import pytest
 
 from sepgraph import cli
 from sepgraph.cli import main
+from sepgraph.groups import MAX_NESTING
 
 A2 = {
     "vertices": ["v"],
@@ -419,6 +420,22 @@ def test_json_nested_past_the_recursion_limit_exits_2(capsys, tmp_path, where):
     assert out == ""
     assert err.startswith("error:") and "nested too deeply" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 450])
+def test_product_groups_nested_past_the_cap_exit_2(capsys, depth):
+    # 450 decodes as JSON but once ended in a RecursionError traceback
+    spec = {"type": "zmod", "n": 2}
+    for _ in range(depth):
+        spec = {"type": "product", "factors": [spec]}
+    generator = "(" * depth + "1" + ")" * depth
+    code, out, err = run(capsys, "cayley", "--group", json.dumps(spec), "--generators", generator)
+    if depth <= MAX_NESTING:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and f"nested more than {MAX_NESTING}" in err
+        assert "Traceback" not in err
 
 
 def test_a_call_builds_only_its_subcommands_parser(capsys, monkeypatch, a2_file):

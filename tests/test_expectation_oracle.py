@@ -11,11 +11,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepgraph.algebra import AlgebraElement, LeavittContext, NormalWord, from_word, vertex_element
-from sepgraph.expectation import _n_value, expect
+from sepgraph.expectation import _n_value, expect, weakly_reduce
 from sepgraph.graphs import SeparatedGraph, SignedEdge
 from sepgraph.sampling import random_composable_word, random_separated_graph
 from sepgraph.scalars import ONE
@@ -274,3 +275,23 @@ def test_random_unreduced_terms_match_the_oracle_cold_and_warm():
                 assert_cold_and_warm_match_oracle(ctx, steps)
                 unreduced += subset_weakly_reduce(graph, steps) != steps
     assert unreduced >= 100
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weakly_reduce_matches_the_subset_oracles_reduction(seed):
+    # the rewriter's weak rules against the oracle's own, on random walks; the
+    # walks must reach both a kill (e* f in one cell) and a singleton e e* pair
+    rng = random.Random(seed)
+    kills = singletons = 0
+    for _ in range(40):
+        graph = random_separated_graph(rng, max_vertices=3)
+        for _ in range(20):
+            steps = random_composable_word(rng, graph, max_len=12)
+            reduced = subset_weakly_reduce(graph, steps)
+            assert weakly_reduce(graph, steps) == reduced, steps
+            kills += reduced is None
+            singletons += any(
+                len(graph.cell_edges(*graph.cell_of(steps[i].edge))) == 1
+                for i in pair_occurrences(steps)
+            )
+    assert kills >= 50 and singletons >= 50
