@@ -224,7 +224,7 @@ def cmd_act(args) -> int:
     ctx = _context(args)
     action = action_from_json(_load_json(args.action))
     g = action.group.parse(args.g)
-    # only the entry applied is checked: O(n), where the whole table costs O(|G|^2 n)
+    # only the entry applied is checked: O(n), where the whole table costs O(|G|·|S|·n)
     bad = isomorphism_violations(action.morphism(g), ctx.graph, ctx.graph)
     if bad:
         raise InputError(f"entry for {g} is not an automorphism: " + "; ".join(bad))

@@ -432,11 +432,11 @@ class Quotient(NamedTuple):
 
 def _orbits(items: Sequence[str], maps: list) -> dict:
     """Map each item to the lexicographically smallest member of its orbit."""
-    out = {}
-    for item in items:
-        orbit = {m[item] for m in maps}
-        orbit.add(item)
-        out[item] = min(orbit)
+    out = dict(zip(items, items))
+    for m in maps:
+        for item, image in m.items():
+            if image < out[item]:
+                out[item] = image
     return out
 
 

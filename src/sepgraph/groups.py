@@ -259,6 +259,9 @@ class CyclicGroup(Group):
     def _values(self):
         return list(range(self.modulus))
 
+    def generating_set(self) -> list:
+        return [self.element(1)]
+
     def _parse(self, text):
         return int(text) % self.modulus
 
@@ -316,6 +319,11 @@ class ProductGroup(Group):
 
     def _values(self):
         return [tuple(v) for v in itertools.product(*(f._values() for f in self.factors))]
+
+    def generating_set(self) -> list:  # each factor's generators, the identity elsewhere
+        one = self._identity()
+        return [GroupElement(self, one[:i] + (s.value,) + one[i + 1:])
+                for i, f in enumerate(self.factors) for s in f.generating_set()]
 
     def format_value(self, value) -> str:
         return "(" + ",".join(f.format_value(x) for f, x in zip(self.factors, value)) + ")"
@@ -449,34 +457,42 @@ class GraphAction(NamedTuple):
 
 
 def check_action(action: GraphAction, graph: SeparatedGraph) -> list:
-    """Everything wrong with an action table (empty report iff valid)."""
+    """Everything wrong with an action table: empty iff the table is an action.
+
+    Generators s suffice: if their entries are automorphisms and table(g)∘table(s) =
+    table(gs) for every g, each table(g) composes generator automorphisms, and
+    table(gh) = table(g)∘table(h) by induction on the length of h in generators.
+    """
     problems = []
-    group = action.group
+    group, table = action.group, action.table
     if not group.is_finite:
         return [f"unsupported group for actions: {group} is not finite"]
     elements = group.elements()
-    missing = [g for g in elements if g not in action.table]
+    missing = [g for g in elements if g not in table]
     if missing:
         return [f"action table is missing entries for {[str(g) for g in missing]}"]
-    extra = [g for g in action.table if g not in set(elements)]
+    members = set(elements)
+    extra = [g for g in table if g not in members]
     if extra:
         problems.append(f"action table has entries outside the group: {[str(g) for g in extra]}")
-    for g in elements:
-        f = action.table[g]
-        bad = isomorphism_violations(f, graph, graph)
+    vertices, ids = graph.vertices, [e.id for e in graph.edges]
+    if table[group.identity()] != GraphMorphism(dict(zip(vertices, vertices)), dict(zip(ids, ids))):
+        problems.append("identity element does not act as the identity")
+    generators = group.generating_set()
+    for s in generators:
+        bad = isomorphism_violations(table[s], graph, graph)
         if bad:
-            problems.append(f"entry for {g} is not an automorphism: " + "; ".join(bad))
+            problems.append(f"entry for {s} is not an automorphism: " + "; ".join(bad))
     if problems:
         return problems
-    ident = action.table[group.identity()]
-    if any(ident.vmap[v] != v for v in graph.vertices) or any(
-        ident.emap[e.id] != e.id for e in graph.edges
-    ):
-        problems.append("identity element does not act as the identity")
     for g in elements:
-        for h in elements:
-            if action.table[g].compose(action.table[h]) != action.table[g * h]:
-                problems.append(f"table({g})∘table({h}) differs from table({g}{h})")
+        for s in generators:
+            try:  # a KeyError: table(g) is not total
+                same = table[g].compose(table[s]) == table[g * s]
+            except KeyError:
+                same = False
+            if not same:
+                problems.append(f"table({g})∘table({s}) differs from table({g}{s})")
     return problems
 
 
@@ -524,10 +540,12 @@ def _id_map(raw) -> dict:
 def action_from_json(data: dict) -> GraphAction:
     try:
         group = group_from_json(data["group"])
-        table = {}
+        table, keys = {}, {}
         for key, maps in data["table"].items():
-            vmap, emap = _id_map(maps["vertices"]), _id_map(maps["edges"])
-            table[group.parse(key)] = GraphMorphism(vmap, emap)
+            g = group.parse(key)
+            if keys.setdefault(g, key) != key:
+                raise GroupError(f"action table keys {keys[g]!r} and {key!r} both name {g}")
+            table[g] = GraphMorphism(_id_map(maps["vertices"]), _id_map(maps["edges"]))
     except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a table that is no object
         raise GroupError(f"malformed action JSON: {exc}") from None
     return GraphAction(group, table)

@@ -259,6 +259,28 @@ def test_an_invalid_table_fails_quotient_and_gross_tucker_alike(capsys, tmp_path
     assert err.startswith("error: action invariant violation: ")
 
 
+@pytest.mark.parametrize("command", [["quotient"], ["act", "1", "a"]])
+def test_action_table_keys_naming_one_element_exit_2(capsys, tmp_path, command):
+    # '1' and '3' both name 1 in zmod:2; keeping the last would drop the swap
+    graph = {
+        "vertices": ["v", "w"],
+        "edges": [{"id": "a", "src": "v", "dst": "w"}, {"id": "b", "src": "w", "dst": "v"}],
+        "separation": {"v": [["a"]], "w": [["b"]]},
+    }
+    ident = {"vertices": {"v": "v", "w": "w"}, "edges": {"a": "a", "b": "b"}}
+    swap = {"vertices": {"v": "w", "w": "v"}, "edges": {"a": "b", "b": "a"}}
+    action = {"group": {"type": "zmod", "n": 2}, "table": {"0": ident, "1": swap, "3": ident}}
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps(graph))
+    action_path = tmp_path / "act.json"
+    action_path.write_text(json.dumps(action))
+    code, out, err = run(
+        capsys, command[0], "--graph", str(graph_path), "--action", str(action_path), *command[1:]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "'1'" in err and "'3'" in err
+
+
 def test_verify_crossed_iso(capsys, a2_file, tmp_path):
     label = tmp_path / "label.json"
     label.write_text(json.dumps({"a1": 1, "a2": 1}))

@@ -12,6 +12,7 @@ from sepgraph.graphs import (
     SeparatedGraph,
     SignedEdge,
     check_isomorphism,
+    isomorphism_violations,
     skew_product,
 )
 from sepgraph.groups import (
@@ -456,3 +457,155 @@ def test_gross_tucker_roundtrip_on_random_skew_products(seed, group):
     result = gross_tucker(skew.graph, action)
     assert check_isomorphism(result.iso, result.skew.graph, skew.graph)
     assert is_equivariant_iso(result, action)
+
+
+# -- the generator check against an all-pairs oracle -------------------------------
+
+ACTION_GROUPS = [
+    CyclicGroup(1),
+    CyclicGroup(2),
+    CyclicGroup(3),
+    CyclicGroup(4),
+    CyclicGroup(6),
+    ProductGroup((CyclicGroup(2), CyclicGroup(2))),
+    ProductGroup((CyclicGroup(2), ProductGroup((CyclicGroup(3), CyclicGroup(1))))),
+]
+IDENTITY_LINE = "identity element does not act as the identity"
+
+
+def all_pairs_oracle(action, graph):
+    """(is the table an action, does the identity act as the identity), read off
+    the definition: every entry an automorphism, and every pair composed."""
+    group, table = action.group, action.table
+    elements = group.elements()
+    ident = GraphMorphism({v: v for v in graph.vertices}, {e.id: e.id for e in graph.edges})
+    identity_ok = table[group.identity()] == ident
+    valid = (
+        set(table) == set(elements)
+        and identity_ok
+        and all(not isomorphism_violations(table[g], graph, graph) for g in elements)
+        and all(table[g].compose(table[h]) == table[g * h] for g in elements for h in elements)
+    )
+    return valid, identity_ok
+
+
+def leaf_values(group, value):
+    """The components of a value along the cyclic factors of nested products."""
+    if isinstance(group, ProductGroup):
+        return [x for f, v in zip(group.factors, value) for x in leaf_values(f, v)]
+    return [value]
+
+
+def fibre_map(skew, image):
+    """(x, h) -> (x, image[h]) on vertices and edges: an automorphism when every
+    label is the identity, or when ``image`` is a left translation."""
+    return GraphMorphism(
+        {name: skew.vertex_name[(x, image[h])] for name, (x, h) in skew.vertex_pair.items()},
+        {name: skew.edge_name[(e, image[h])] for name, (e, h) in skew.edge_pair.items()},
+    )
+
+
+def random_skew(rng, group, kind):
+    elements = group.elements()
+    if kind == "cayley":
+        generators = rng.sample(elements, rng.randint(1, min(2, len(elements))))
+        return cayley_separated_graph(group, generators)
+    base = random_separated_graph(rng, max_vertices=2, max_edges=3)
+    if kind == "copies":  # |G| disjoint copies of the base, permuted by any fibre map
+        return skew_product(base, Labeling(group, {e.id: group.identity() for e in base.edges}))
+    return skew_product(base, random_labeling(rng, base, group))
+
+
+def random_table(rng, skew, kind):
+    group = skew.group
+    elements = group.elements()
+    table = dict(translation_action(skew).table)
+    pool = [rng.choice(list(table.values()))]
+    for _ in range(2):
+        pool.append(fibre_map(skew, dict(zip(elements, rng.sample(elements, len(elements))))))
+    ident = table[group.identity()]
+    if kind == "word":  # g -> product of A_i^(g_i) in a random factor order
+        count = len(leaf_values(group, group._identity()))
+        images = [rng.choice(pool) for _ in range(count)]
+        order = rng.sample(range(count), count)
+        for g in elements:
+            powers = leaf_values(group, g.value)
+            f = ident
+            for i in order:
+                for _ in range(powers[i]):
+                    f = f.compose(images[i])
+            table[g] = f
+    elif kind == "shuffled":  # automorphisms entry by entry, rarely a homomorphism
+        table = {g: ident if g.is_identity else rng.choice(pool) for g in elements}
+    elif kind == "identity":
+        table[group.identity()] = rng.choice(pool)
+    elif kind in ("partial", "extra key"):
+        g = rng.choice(elements)
+        vmap, emap = dict(table[g].vmap), dict(table[g].emap)
+        target = rng.choice([vmap, emap] if emap else [vmap])
+        if kind == "partial":
+            del target[rng.choice(sorted(target))]
+        else:
+            target["zz"] = rng.choice(sorted(target.values()))
+        table[g] = GraphMorphism(vmap, emap)
+    elif kind == "foreign entry":
+        table[CyclicGroup(7).element(1)] = ident
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(ACTION_GROUPS),
+    st.sampled_from(["cayley", "copies", "skew"]),
+    st.sampled_from(
+        ["translation", "word", "shuffled", "identity", "partial", "extra key", "foreign entry"]
+    ),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_generator_check_agrees_with_the_all_pairs_oracle(group, graph_kind, table_kind, seed):
+    rng = random.Random(seed)
+    skew = random_skew(rng, group, graph_kind)
+    action = GraphAction(group, random_table(rng, skew, table_kind))
+    report = check_action(action, skew.graph)
+    valid, identity_ok = all_pairs_oracle(action, skew.graph)
+    assert (report == []) == valid
+    assert (IDENTITY_LINE in report) == (not identity_ok)
+
+
+def test_check_action_composes_each_entry_with_the_generators_only(monkeypatch):
+    z32 = CyclicGroup(32)
+    base = SeparatedGraph(
+        ["v", "w"], [("a", "v", "w"), ("b", "w", "v")], {"v": [["a"]], "w": [["b"]]}
+    )
+    skew = skew_product(base, Labeling(z32, {"a": z32.element(1), "b": z32.element(3)}))
+    action = translation_action(skew)
+    counts = {"compose": 0, "isomorphism_violations": 0}
+    compose, violations = GraphMorphism.compose, groups.isomorphism_violations
+
+    def counted_compose(self, inner):
+        counts["compose"] += 1
+        return compose(self, inner)
+
+    def counted_violations(f, src, dst):
+        counts["isomorphism_violations"] += 1
+        return violations(f, src, dst)
+
+    monkeypatch.setattr(GraphMorphism, "compose", counted_compose)
+    monkeypatch.setattr(groups, "isomorphism_violations", counted_violations)
+    assert check_action(action, skew.graph) == []
+    size = len(z32.generating_set())
+    assert counts == {"compose": 32 * size, "isomorphism_violations": size}
+
+
+NESTED = ProductGroup((CyclicGroup(5), ProductGroup((CyclicGroup(4), CyclicGroup(3))), CyclicGroup(2)))
+
+
+@pytest.mark.parametrize("group", [*ACTION_GROUPS, NESTED], ids=str)
+def test_generating_set_generates_the_group(group):
+    generators = group.generating_set()
+    assert all(s.group == group for s in generators)
+    reached, frontier = {group.identity()}, [group.identity()]
+    while frontier:
+        frontier = {g * s for g in frontier for s in generators} - reached
+        reached |= frontier
+    assert reached == set(group.elements())
