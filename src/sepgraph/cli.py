@@ -25,6 +25,7 @@ from .algebra import (
 from .expectation import expect
 from .graphs import (
     GraphError,
+    check_json,
     graph_from_json,
     graph_to_json,
     isomorphism_violations,
@@ -38,7 +39,6 @@ from .groups import (
     FreeGroup,
     GroupError,
     IntegerGroup,
-    Labeling,
     action_from_json,
     cayley_separated_graph,
     gross_tucker,
@@ -77,10 +77,6 @@ def _dump(data) -> None:
     print(json.dumps(data, sort_keys=True, indent=2))
 
 
-def _load_graph(path: str):
-    return graph_from_json(_load_json(path))
-
-
 def _load_group(spec: str):
     """A group spec, tried in this order: an inline shorthand (z, zmod:3,
     free:a,b), a JSON literal, a path to a JSON file."""
@@ -88,7 +84,10 @@ def _load_group(spec: str):
     if spec == "z":
         return IntegerGroup()
     if spec.startswith("zmod:"):
-        return CyclicGroup(int(spec.split(":", 1)[1]))
+        try:
+            return CyclicGroup(int(spec[5:]))
+        except ValueError:
+            raise InputError(f"group spec {spec!r} needs an integer modulus") from None
     if spec.startswith("free:"):
         return FreeGroup(tuple(spec.split(":", 1)[1].split(",")))
     if spec.startswith("{"):
@@ -98,26 +97,13 @@ def _load_group(spec: str):
     raise InputError(f"unrecognized group spec {spec!r}")
 
 
-def _load_labeling(group, path: str) -> Labeling:
-    return labeling_from_json(group, _load_json(path))
-
-
 def _context(args) -> LeavittContext:
-    graph = _load_graph(args.graph)
+    graph = graph_from_json(_load_json(args.graph))
     choice = None
     if getattr(args, "ex_choice", None):
         raw = _load_json(args.ex_choice)
-        if not isinstance(raw, dict) or not all(
-            isinstance(picks, list) and all(isinstance(eid, str) for eid in picks)
-            for picks in raw.values()
-        ):
-            raise InputError(
-                f"{args.ex_choice}: --ex-choice must map each vertex to a list of edge ids"
-            )
-        choice = {}
-        for v, picks in raw.items():
-            for i, eid in enumerate(picks):
-                choice[(v, i)] = eid
+        check_json(raw, {str: [str]}, f"{args.ex_choice}: --ex-choice", InputError)
+        choice = {(v, i): eid for v, picks in raw.items() for i, eid in enumerate(picks)}
     return LeavittContext(graph, choice)
 
 
@@ -131,9 +117,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_skew(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graph_from_json(_load_json(args.graph))
     group = _load_group(args.group)
-    labeling = _load_labeling(group, args.label)
+    labeling = labeling_from_json(group, _load_json(args.label))
     skew = skew_product(graph, labeling)
     _dump(
         {
@@ -146,7 +132,7 @@ def cmd_skew(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graph_from_json(_load_json(args.graph))
     action = action_from_json(_load_json(args.action))
     quotient = quotient_graph(graph, action)
     _dump(
@@ -160,7 +146,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_gross_tucker(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graph_from_json(_load_json(args.graph))
     action = action_from_json(_load_json(args.action))
     result = gross_tucker(graph, action)
     _dump(
@@ -176,7 +162,7 @@ def cmd_gross_tucker(args) -> int:
 def cmd_cayley(args) -> int:
     group = _load_group(args.group)
     parts = [p.strip() for p in split_top_level(args.generators)]
-    generators = [group.parse(p) for p in parts if p]
+    generators = [group.from_literal(p) for p in parts if p]
     if not generators:
         raise InputError("cayley needs at least one generator")
     skew = cayley_separated_graph(group, generators)
@@ -213,7 +199,7 @@ def cmd_expect(args) -> int:
 def cmd_grade(args) -> int:
     ctx = _context(args)
     group = _load_group(args.group)
-    labeling = _load_labeling(group, args.label)
+    labeling = labeling_from_json(group, _load_json(args.label))
     x = parse_element(ctx, args.element)
     parts = decompose(x, labeling)
     _dump({str(g): element_literal(part) for g, part in parts.items()})
@@ -223,7 +209,7 @@ def cmd_grade(args) -> int:
 def cmd_act(args) -> int:
     ctx = _context(args)
     action = action_from_json(_load_json(args.action))
-    g = action.group.parse(args.g)
+    g = action.group.from_literal(args.g)
     # only the entry applied is checked: O(n), where the whole table costs O(|G|·|S|·n)
     bad = isomorphism_violations(action.morphism(g), ctx.graph, ctx.graph)
     if bad:
@@ -234,9 +220,9 @@ def cmd_act(args) -> int:
 
 
 def cmd_verify_crossed_iso(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = graph_from_json(_load_json(args.graph))
     group = _load_group(args.group)
-    labeling = _load_labeling(group, args.label)
+    labeling = labeling_from_json(group, _load_json(args.label))
     report = verify_iso(graph, labeling, sample_count=args.samples, seed=args.seed)
     print(report.summary())
     return 0 if report.ok else 1

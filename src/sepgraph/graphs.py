@@ -500,34 +500,51 @@ def graph_from_json(data) -> SeparatedGraph:
 
 
 def read_graph_json(data) -> SeparatedGraph:
-    """Build a graph from its JSON form, checking only the JSON types.
-
-    Ids must be strings and every collection a JSON list (the separation an
-    object), so that no other value is taken apart as one: a string of
-    vertices would otherwise read as its characters.  :func:`validate`
-    reports every broken graph invariant of the result.
-    """
-    if not isinstance(data, dict):
-        raise GraphError(f"malformed graph JSON: expected an object, got {type(data).__name__}")
-    try:
-        vertices = data["vertices"]
-        edges = [Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]]
-        separation = data.get("separation", {})
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph JSON: {exc}") from None
-    _require_strings(vertices, "vertices")
-    for e in edges:
-        _require_strings([e.id, e.src, e.dst], f"edge {e.id!r}")
-    if not isinstance(separation, dict):
-        raise GraphError("malformed graph JSON: separation must be an object")
-    for v, cells in separation.items():
-        if not isinstance(cells, list):
-            raise GraphError(f"malformed graph JSON: separation at {v!r} must be a list of cells")
-        for cell in cells:
-            _require_strings(cell, f"separation cell at {v!r}")
-    return SeparatedGraph(vertices, edges, separation)
+    """Build a graph from its JSON form, checking only the JSON types: ids are strings
+    and collections JSON lists, so that no string of vertices reads as its characters.
+    :func:`validate` reports every broken graph invariant of the result."""
+    edge = {"id": str, "src": str, "dst": str}
+    check_json(data, {"vertices": [str], "edges": [edge]}, "malformed graph JSON", GraphError)
+    separation = data.get("separation", {})
+    check_json(separation, {str: [[str]]}, "malformed graph JSON.separation", GraphError)
+    edges = [Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]]
+    return SeparatedGraph(data["vertices"], edges, separation)
 
 
-def _require_strings(values, what: str) -> None:
-    if not isinstance(values, list) or not {*map(type, values)} <= {str}:
-        raise GraphError(f"malformed graph JSON: {what} must be a list of strings")
+_KINDS = {str: "a string", list: "a list", dict: "an object"}
+
+
+def check_json(value, shape, where: str, error) -> None:
+    """Raise ``error`` unless decoded JSON fits a shape: ``str``, ``object`` (any
+    value), ``[s]`` (a list of s), ``{str: s}`` (an object with s values) or
+    ``{"key": s, ...}`` (an object with at least these keys).  The message is
+    ``where`` and the path to the first misfit, as in ``malformed graph
+    JSON.edges[0].src: expected a string, got 1``."""
+    if misfit := _misfit(value, shape):
+        raise error(where + "".join(misfit))
+
+
+def _misfit(value, shape):
+    """None if ``value`` fits ``shape``, else the path to its first misfit and why,
+    assembled only as a misfit unwinds: a fitting value formats nothing."""
+    kind = shape if isinstance(shape, type) else type(shape)
+    if not isinstance(value, kind):
+        got = _KINDS[type(value)] if type(value) in (list, dict) else repr(value)
+        return (f": expected {_KINDS[kind]}, got {got}",)
+    if kind is str or kind is object:
+        return None
+    if kind is dict and str not in shape:
+        for key, inner in shape.items():
+            if key not in value:
+                return (f".{key}: missing",)
+            if inner is not str or not isinstance(value[key], str):  # string leaves skip the call
+                if misfit := _misfit(value[key], inner):
+                    return (f".{key}", *misfit)
+        return None
+    inner, items = (shape[0], enumerate(value)) if kind is list else (shape[str], value.items())
+    if inner is str and {*map(type, value if kind is list else value.values())} <= {str}:
+        return None  # all strings: one test, no calls
+    for key, item in items:
+        if misfit := _misfit(item, inner):
+            return (f"[{key!r}]", *misfit)
+    return None

@@ -20,6 +20,7 @@ from .graphs import (
     SeparatedGraph,
     SignedEdge,
     SkewProduct,
+    check_json,
     isomorphism_violations,
     quotient_graph,
     skew_product,
@@ -129,11 +130,12 @@ class Group:
         return value
 
     def from_literal(self, literal) -> GroupElement:
-        """Accept the JSON form of an element: a string literal, or a raw value
-        as :meth:`element` takes it (int, list of pairs, or list)."""
-        if isinstance(literal, str):
-            return self.parse(literal)
-        return self.element(literal)
+        """The element a JSON literal names: a string literal, or a raw value as
+        :meth:`element` takes it (int, list of pairs, or list); else a GroupError."""
+        try:
+            return self.parse(literal) if isinstance(literal, str) else self.element(literal)
+        except (TypeError, ValueError):  # int() of a non-integer, or a raw value of the wrong shape
+            raise GroupError(f"{literal!r} is not an element of {self}") from None
 
     def to_literal(self, el: GroupElement):
         return self._to_json(el.value)
@@ -358,25 +360,25 @@ def group_to_json(group: Group) -> dict:
     raise GroupError(f"cannot serialize group {group!r}")
 
 
-def group_from_json(data: dict, _depth: int = 0) -> Group:
-    """The group a JSON spec names; ``_depth`` counts the enclosing products."""
-    try:
-        kind = data["type"]
-        if kind == "free":
-            names = data["generators"]
-            if not isinstance(names, list) or not all(isinstance(g, str) for g in names):
-                raise TypeError(f"free generators must be a list of strings, got {names!r}")
-            return FreeGroup(tuple(names))
-        if kind == "z":
-            return IntegerGroup()
-        if kind == "zmod":
-            return CyclicGroup(data["n"])
-        if kind == "product":
-            if _depth >= MAX_NESTING:
-                raise GroupError(f"product groups nested more than {MAX_NESTING} deep")
-            return ProductGroup(tuple(group_from_json(f, _depth + 1) for f in data["factors"]))
-    except (KeyError, TypeError) as exc:
-        raise GroupError(f"malformed group spec: {exc}") from None
+def group_from_json(data: dict, _depth: int = 0, _where: str = "malformed group spec") -> Group:
+    """The group a JSON spec names; ``_depth`` counts enclosing products, ``_where`` names the spec."""
+    check_json(data, {"type": str}, _where, GroupError)
+    kind = data["type"]
+    shape = {"free": {"generators": [str]}, "zmod": {"n": object}, "product": {"factors": [object]}}
+    check_json(data, shape.get(kind, {}), _where, GroupError)
+    if kind == "free":
+        return FreeGroup(tuple(data["generators"]))
+    if kind == "z":
+        return IntegerGroup()
+    if kind == "zmod":
+        return CyclicGroup(data["n"])
+    if kind == "product":
+        if _depth >= MAX_NESTING:
+            raise GroupError(f"product groups nested more than {MAX_NESTING} deep")
+        return ProductGroup(tuple(
+            group_from_json(f, _depth + 1, f"{_where}.factors[{i}]")
+            for i, f in enumerate(data["factors"])
+        ))
     raise GroupError(f"unknown group type {kind!r}")
 
 
@@ -419,16 +421,13 @@ def labeling_to_json(labeling: Labeling) -> dict:
 
 
 def labeling_from_json(group: Group, data: dict) -> Labeling:
-    if not isinstance(data, dict):
-        raise GroupError("a labeling must be a JSON object mapping edge ids to elements")
+    check_json(data, {str: object}, "malformed labeling JSON", GroupError)
     by_edge = {}
     for eid, lit in data.items():
         try:
             by_edge[eid] = group.from_literal(lit)
-        except (TypeError, ValueError, GroupError) as exc:
-            raise GroupError(
-                f"label of edge {eid!r} is not an element of {group}: {lit!r} ({exc})"
-            ) from None
+        except GroupError as exc:
+            raise GroupError(f"label of edge {eid!r}: {exc}") from None
     return Labeling(group, by_edge)
 
 
@@ -531,23 +530,16 @@ def action_to_json(action: GraphAction) -> dict:
     return {"group": group_to_json(action.group), "table": dict(sorted(table.items()))}
 
 
-def _id_map(raw) -> dict:
-    if not isinstance(raw, dict) or not {*map(type, raw), *map(type, raw.values())} <= {str}:
-        raise TypeError(f"expected an object mapping strings to strings, got {raw!r}")
-    return dict(raw)
-
-
 def action_from_json(data: dict) -> GraphAction:
-    try:
-        group = group_from_json(data["group"])
-        table, keys = {}, {}
-        for key, maps in data["table"].items():
-            g = group.parse(key)
-            if keys.setdefault(g, key) != key:
-                raise GroupError(f"action table keys {keys[g]!r} and {key!r} both name {g}")
-            table[g] = GraphMorphism(_id_map(maps["vertices"]), _id_map(maps["edges"]))
-    except (KeyError, TypeError, AttributeError) as exc:  # AttributeError: a table that is no object
-        raise GroupError(f"malformed action JSON: {exc}") from None
+    entry = {"vertices": {str: str}, "edges": {str: str}}
+    check_json(data, {"group": object, "table": {str: entry}}, "malformed action JSON", GroupError)
+    group = group_from_json(data["group"], _where="malformed action JSON.group")
+    table, keys = {}, {}
+    for key, maps in data["table"].items():
+        g = group.from_literal(key)
+        if keys.setdefault(g, key) != key:
+            raise GroupError(f"action table keys {keys[g]!r} and {key!r} both name {g}")
+        table[g] = GraphMorphism(dict(maps["vertices"]), dict(maps["edges"]))
     return GraphAction(group, table)
 
 

@@ -45,6 +45,8 @@ from sepgraph.sampling import (
     random_separated_graph,
 )
 
+from nonabelian import S3
+
 
 def bouquet(n):
     edges = [Edge(f"a{i}", "v", "v") for i in range(1, n + 1)]
@@ -619,6 +621,26 @@ def test_rewriting_preserves_degree():
         target = labeling.of_word(steps)
         for word in reduce_word(ctx, steps).terms:
             assert word_degree(word, labeling) == target
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degrees_multiply_in_order_under_nonabelian_labels(seed):
+    """A_g A_h lies in A_gh, not A_hg, the adjoint of A_g in A_g^-1, and rewriting
+    keeps the degree, for S3 labels, where gh and hg differ."""
+    rng = random.Random(seed)
+    group = S3()
+    graph = random_separated_graph(rng)
+    ctx = LeavittContext(graph)
+    labeling = Labeling(group, {e.id: rng.choice(group.elements()) for e in graph.edges})
+    for _ in range(10):
+        steps = random_composable_word(rng, graph, max_len=8, min_len=2)
+        k = rng.randint(1, len(steps) - 1)
+        left, right = reduce_word(ctx, steps[:k]), reduce_word(ctx, steps[k:])
+        g, h = labeling.of_word(steps[:k]), labeling.of_word(steps[k:])
+        for word in (left * right).terms:
+            assert word_degree(word, labeling) == g * h
+        for word in left.star().terms:
+            assert word_degree(word, labeling) == g.inverse()
 
 
 # -- induced automorphisms -----------------------------------------------------------

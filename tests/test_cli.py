@@ -380,41 +380,72 @@ def test_outputs_are_deterministic(capsys, a2_file):
     assert first == second
 
 
+EDGE_NO_ID = {"vertices": ["v"], "edges": [{"src": "v", "dst": "v"}]}
+EDGE_INT_SRC = {"vertices": ["v"], "edges": [{"id": "a", "src": 1, "dst": "v"}]}
+VERTICES_LIST = {"group": {"type": "zmod", "n": 1}, "table": {"0": {"vertices": ["v"], "edges": {}}}}
+
+# (files, argv, the path or value that stderr must name)
+MISTYPED = [
+    ({"choice": [1]}, ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"],
+     "choice.json: --ex-choice: expected an object, got a list"),
+    ({"g": [A2]}, ["validate", "--graph", "{g}"], "malformed graph JSON: expected an object"),
+    ({"g": {"vertices": "vw", "edges": []}}, ["validate", "--graph", "{g}"],
+     "graph JSON.vertices: expected a list, got 'vw'"),
+    ({"g": {"vertices": "vw", "edges": []}}, ["reduce", "--graph", "{g}", "@v"],
+     "graph JSON.vertices: expected a list"),
+    ({"g": {**A2, "separation": {"v": ["a1", "a2"]}}}, ["validate", "--graph", "{g}"],
+     "graph JSON.separation['v'][0]: expected a list, got 'a1'"),
+    ({"g": {**A2, "vertices": [["v"]]}}, ["star", "--graph", "{g}", "a1"],
+     "graph JSON.vertices[0]: expected a string, got a list"),
+    ({"act": {"group": {"type": "zmod", "n": 2}, "table": []}},
+     ["quotient", "--graph", "{a2}", "--action", "{act}"],
+     "action JSON.table: expected an object, got a list"),
+    ({"choice": {"v": ["a1", "a2", "a1"]}},
+     ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"], "'v'"),
+    ({"lab": {"a1": "a", "a2": "b"}},
+     ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": "ab"}}',
+      "--label", "{lab}", "a1 a2"], "group spec.generators: expected a list, got 'ab'"),
+    ({"lab": {"a1": "", "a2": ""}},
+     ["grade", "--graph", "{a2}", "--group", "free:", "--label", "{lab}", "a1 a2"],
+     "free generator name ''"),
+    ({"lab": {"a1": "", "a2": ""}},
+     ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": [""]}}',
+      "--label", "{lab}", "a1 a2"], "free generator name ''"),
+    ({"lab": {"a1": "a", "a2": "a"}},
+     ["grade", "--graph", "{a2}", "--group", "free:a,a", "--label", "{lab}", "a1 a2"],
+     "names repeat"),
+    ({"lab": {"a1": "a", "a2": "a"}},
+     ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": ["a", "a"]}}',
+      "--label", "{lab}", "a1 a2"], "names repeat"),
+    ({"g": LOOP, "act": LIST_IMAGE}, ["quotient", "--graph", "{g}", "--action", "{act}"],
+     "action JSON.table['0'].vertices['v']: expected a string, got a list"),
+    ({"g": LOOP, "act": LIST_IMAGE}, ["gross-tucker", "--graph", "{g}", "--action", "{act}"],
+     "action JSON.table['0'].vertices['v']"),
+    ({"g": LOOP, "act": LIST_IMAGE}, ["act", "--graph", "{g}", "--action", "{act}", "0", "a"],
+     "action JSON.table['0'].vertices['v']"),
+    ({"lab": {"a1": [], "a2": []}},
+     ["grade", "--graph", "{a2}", "--group", '{{"type": "product", "factors": []}}',
+      "--label", "{lab}", "a1 a2"], "needs a factor"),
+    ({"g": EDGE_NO_ID}, ["reduce", "--graph", "{g}", "@v"], "graph JSON.edges[0].id: missing"),
+    ({"g": EDGE_INT_SRC}, ["validate", "--graph", "{g}"],
+     "graph JSON.edges[0].src: expected a string, got 1"),
+    ({"spec": [{"type": "zmod", "n": 2}]}, ["cayley", "--group", "{spec}", "--generators", "1"],
+     "malformed group spec: expected an object, got a list"),
+    ({}, ["cayley", "--group", '{{"type": "zmod"}}', "--generators", "1"],
+     "malformed group spec.n: missing"),
+    ({"lab": [1, 2]}, ["grade", "--graph", "{a2}", "--group", "zmod:3", "--label", "{lab}", "a1"],
+     "malformed labeling JSON: expected an object, got a list"),
+    ({"act": VERTICES_LIST}, ["quotient", "--graph", "{a2}", "--action", "{act}"],
+     "action JSON.table['0'].vertices: expected an object, got a list"),
+    ({"choice": {"v": "a1"}}, ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"],
+     "--ex-choice['v']: expected a list, got 'a1'"),
+]
+
+
 @pytest.mark.parametrize(
-    "files,argv",
-    [
-        ({"choice": [1]}, ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"]),
-        ({"g": [A2]}, ["validate", "--graph", "{g}"]),
-        ({"g": {"vertices": "vw", "edges": []}}, ["validate", "--graph", "{g}"]),
-        ({"g": {"vertices": "vw", "edges": []}}, ["reduce", "--graph", "{g}", "@v"]),
-        ({"g": {**A2, "separation": {"v": ["a1", "a2"]}}}, ["validate", "--graph", "{g}"]),
-        ({"g": {**A2, "vertices": [["v"]]}}, ["star", "--graph", "{g}", "a1"]),
-        ({"act": {"group": {"type": "zmod", "n": 2}, "table": []}},
-         ["quotient", "--graph", "{a2}", "--action", "{act}"]),
-        ({"choice": {"v": ["a1", "a2", "a1"]}},
-         ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"]),
-        ({"lab": {"a1": "a", "a2": "b"}},
-         ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": "ab"}}',
-          "--label", "{lab}", "a1 a2"]),
-        ({"lab": {"a1": "", "a2": ""}},
-         ["grade", "--graph", "{a2}", "--group", "free:", "--label", "{lab}", "a1 a2"]),
-        ({"lab": {"a1": "", "a2": ""}},
-         ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": [""]}}',
-          "--label", "{lab}", "a1 a2"]),
-        ({"lab": {"a1": "a", "a2": "a"}},
-         ["grade", "--graph", "{a2}", "--group", "free:a,a", "--label", "{lab}", "a1 a2"]),
-        ({"lab": {"a1": "a", "a2": "a"}},
-         ["grade", "--graph", "{a2}", "--group", '{{"type": "free", "generators": ["a", "a"]}}',
-          "--label", "{lab}", "a1 a2"]),
-        ({"g": LOOP, "act": LIST_IMAGE}, ["quotient", "--graph", "{g}", "--action", "{act}"]),
-        ({"g": LOOP, "act": LIST_IMAGE}, ["gross-tucker", "--graph", "{g}", "--action", "{act}"]),
-        ({"g": LOOP, "act": LIST_IMAGE}, ["act", "--graph", "{g}", "--action", "{act}", "0", "a"]),
-        ({"lab": {"a1": [], "a2": []}},
-         ["grade", "--graph", "{a2}", "--group", '{{"type": "product", "factors": []}}',
-          "--label", "{lab}", "a1 a2"]),
-    ],
+    "files,argv,where", MISTYPED, ids=[f"files{i}-argv{i}" for i in range(len(MISTYPED))]
 )
-def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
+def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv, where):
     paths = {"a2": a2_file}
     for name, data in files.items():
         path = tmp_path / f"{name}.json"
@@ -424,6 +455,47 @@ def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+    assert where in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["cayley", "--group", "zmod:6", "--generators", "x"], "'x' is not an element of zmod:6"),
+        (["cayley", "--group", "zmod:6", "--generators", "1,2^x"], "'2^x' is not an element"),
+        (["cayley", "--group", '{{"type": "product", "factors": [{{"type": "zmod", "n": 6}}]}}',
+          "--generators", "(x)"], "'(x)' is not an element of zmod:6"),
+        (["act", "--graph", "{a2}", "--action", "{act}", "x", "a1"], "'x' is not an element of zmod:1"),
+        (["quotient", "--graph", "{a2}", "--action", "{keyed}"], "'x' is not an element of zmod:1"),
+        (["cayley", "--group", "zmod:x", "--generators", "1"], "group spec 'zmod:x' needs an integer"),
+        (["cayley", "--group", "zmod:", "--generators", "1"], "group spec 'zmod:' needs an integer"),
+        (["grade", "--graph", "{a2}", "--group", "z", "--label", "{lab}", "a1"],
+         "label of edge 'a1': '1.5' is not an element of z"),
+        (["grade", "--graph", "{a2}", "--group", "free:a,b", "--label", "{free}", "a1"],
+         "label of edge 'a1': 1 is not an element of free(a,b)"),
+        (["grade", "--graph", "{a2}", "--group", "free:a,b", "--label", "{pairs}", "a1"],
+         "label of edge 'a1': [['a']] is not an element of free(a,b)"),
+    ],
+)
+def test_an_element_literal_that_does_not_parse_is_named_with_its_group(
+    capsys, a2_file, tmp_path, argv, message
+):
+    maps = {"vertices": {"v": "v"}, "edges": {"a1": "a1", "a2": "a2"}}
+    files = {
+        "act": {"group": {"type": "zmod", "n": 1}, "table": {"0": maps}},
+        "keyed": {"group": {"type": "zmod", "n": 1}, "table": {"x": maps}},
+        "lab": {"a1": "1.5", "a2": "0"},
+        "free": {"a1": 1, "a2": "b"},
+        "pairs": {"a1": [["a"]], "a2": "b"},
+    }
+    paths = {"a2": a2_file}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err
+    assert "invalid literal" not in err and "not iterable" not in err and "to unpack" not in err
 
 
 @pytest.mark.parametrize("where", ["graph-file", "inline-group"])

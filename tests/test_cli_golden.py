@@ -17,6 +17,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -104,6 +105,61 @@ def test_output_is_byte_identical(argv, monkeypatch):
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))[_key(argv)]
     monkeypatch.chdir(GOLDEN)
     assert run_case(argv) == recorded
+
+
+INPUTS = sorted(
+    path.name for path in GOLDEN.glob("*.json")
+    if path.name not in (FIXTURE.name, "normal_word_draws.json")
+)
+RAW_EXCEPTION = re.compile(
+    r"object is not subscriptable|indices must be|has no attribute|invalid literal for int\(\)"
+    r"|object is not iterable|values to unpack"
+    r"|^error: [^:']*: '[^']*'$"  # a KeyError's bare quoted key after the prefix
+)
+
+
+def json_nodes(value, path=()):
+    """The path of every node of a decoded JSON value, the root first."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from json_nodes(child, path + (key,))
+
+
+def replaced(value, path, new):
+    """A copy of ``value`` with the node at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = value.copy()
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+def test_every_one_node_change_of_a_golden_input_keeps_the_exit_contract(monkeypatch, tmp_path):
+    """Each node of each golden input, replaced in turn by 1, "x" and [], and fed
+    to the first golden command that reads the file: exit 0, 1 or 2 without an
+    exception, and an input error names what is wrong, not a Python exception."""
+    monkeypatch.chdir(GOLDEN)
+    mutant = str(tmp_path / "mutant.json")
+    runs = 0
+    for name in INPUTS:
+        argv = next(argv for argv in CASES if name in argv)
+        data = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        for path in json_nodes(data):
+            for new in (1, "x", []):
+                Path(mutant).write_text(json.dumps(replaced(data, path, new)), encoding="utf-8")
+                result = run_case([mutant if arg == name else arg for arg in argv])
+                where = f"{name} at {list(path)} = {new!r}: {result['stderr']!r}"
+                assert result["code"] in (0, 1, 2), where
+                if result["code"] == 0:
+                    assert result["stderr"] == "", where
+                err = result["stderr"]
+                if result["code"] == 2:
+                    assert not RAW_EXCEPTION.search(err.strip()), where
+                    if err.startswith("error: malformed"):  # a shape misfit names its path
+                        assert ": expected " in err or ": missing" in err, where
+                runs += 1
+    assert runs > 700
 
 
 def record() -> None:

@@ -33,6 +33,8 @@ from sepgraph.graphs import SeparatedGraph, SignedEdge, skew_product
 from sepgraph.groups import CyclicGroup, GroupError, Labeling, ProductGroup
 from sepgraph.sampling import random_normal_word
 
+from nonabelian import S3
+
 Z2 = CyclicGroup(2)
 Z3 = CyclicGroup(3)
 
@@ -504,10 +506,25 @@ def test_verify_iso_two_separated_loops_z3():
 
 @pytest.mark.parametrize(
     "group",
-    [CyclicGroup(4), CyclicGroup(6), ProductGroup((CyclicGroup(2), CyclicGroup(2)))],
-    ids=["z4", "z6", "z2xz2"],
+    [CyclicGroup(4), CyclicGroup(6), ProductGroup((CyclicGroup(2), CyclicGroup(2))), S3()],
+    ids=["z4", "z6", "z2xz2", "s3"],
 )
 def test_generator_roundtrip_for_groups_up_to_order_six(group):
     labeling = Labeling(group, {"a": group.elements()[1]})
     report = verify_iso(LOOP, labeling, sample_count=10, seed=4)
     assert report.ok
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_verify_iso_with_nonabelian_labels(seed):
+    """Two loops labelled by S3's generators, which do not commute, so a slot
+    or degree taken in the wrong order breaks an identity."""
+    group = S3()
+    t, r = group.generating_set()
+    for graph, labels in [
+        (SeparatedGraph(["v"], [("a", "v", "v"), ("b", "v", "v")], {"v": [["a"], ["b"]]}),
+         {"a": t, "b": r}),
+        (FOUR, dict(zip((e.id for e in FOUR.edges), [t, r, r * t, t]))),
+    ]:
+        report = verify_iso(graph, Labeling(group, labels), sample_count=40, seed=seed)
+        assert report.ok, report.summary()

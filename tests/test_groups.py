@@ -39,6 +39,8 @@ from sepgraph.groups import (
 )
 from sepgraph.sampling import random_labeling, random_separated_graph
 
+from nonabelian import S3, exponents
+
 F2 = FreeGroup(("a", "b"))
 Z3 = CyclicGroup(3)
 
@@ -414,6 +416,17 @@ def test_gross_tucker_on_cayley_graph():
     assert check_isomorphism(result.iso, result.skew.graph, cayley.graph)
 
 
+def test_gross_tucker_on_a_nonabelian_cayley_graph():
+    group = S3()
+    cayley = cayley_separated_graph(group, group.generating_set())
+    action = translation_action(cayley)
+    assert check_action(action, cayley.graph) == []
+    result = gross_tucker(cayley.graph, action)
+    assert sorted(result.labeling.by_edge.values(), key=str) == sorted(group.generating_set(), key=str)
+    assert check_isomorphism(result.iso, result.skew.graph, cayley.graph)
+    assert is_equivariant_iso(result, action)
+
+
 def test_gross_tucker_rejects_non_free_actions():
     emn = SeparatedGraph(
         ["v", "w"],
@@ -446,7 +459,7 @@ def test_gross_tucker_checks_the_table_once(monkeypatch):
 @given(
     st.integers(min_value=0, max_value=10**6),
     st.sampled_from(
-        [CyclicGroup(1), CyclicGroup(2), CyclicGroup(3), ProductGroup((CyclicGroup(2),) * 2)]
+        [CyclicGroup(1), CyclicGroup(2), CyclicGroup(3), ProductGroup((CyclicGroup(2),) * 2), S3()]
     ),
 )
 def test_gross_tucker_roundtrip_on_random_skew_products(seed, group):
@@ -469,6 +482,7 @@ ACTION_GROUPS = [
     CyclicGroup(6),
     ProductGroup((CyclicGroup(2), CyclicGroup(2))),
     ProductGroup((CyclicGroup(2), ProductGroup((CyclicGroup(3), CyclicGroup(1))))),
+    S3(),  # nonabelian: tells table(g)∘table(s) = table(gs) from table(sg)
 ]
 IDENTITY_LINE = "identity element does not act as the identity"
 
@@ -490,7 +504,10 @@ def all_pairs_oracle(action, graph):
 
 
 def leaf_values(group, value):
-    """The components of a value along the cyclic factors of nested products."""
+    """The components of a value along the cyclic factors of nested products,
+    or S3's exponents of its generators."""
+    if isinstance(group, S3):
+        return exponents(value)
     if isinstance(group, ProductGroup):
         return [x for f, v in zip(group.factors, value) for x in leaf_values(f, v)]
     return [value]
