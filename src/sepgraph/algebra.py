@@ -238,6 +238,8 @@ def reduce_word(
     reads each result back through :meth:`NormalWord.adjoint`: the rules are
     adjoint-invariant, so this fires the rightmost redex first.
     """
+    if strategy not in ("leftmost", "rightmost"):
+        raise AlgebraError(f"unknown strategy {strategy!r}: expected 'leftmost' or 'rightmost'")
     steps = tuple(steps)
     if not steps:
         if base is None:

@@ -62,13 +62,15 @@ def _decode_json(text: str, where: str):
         raise InputError(f"{where}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise InputError(f"{where}: JSON nested too deeply") from None
+    except ValueError:  # the one left is an int past Python's int-string limit
+        raise InputError(f"{where}: a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or bytes not UTF-8
         raise InputError(f"cannot read {path}: {exc}") from None
     return _decode_json(text, path)
 
@@ -223,14 +225,16 @@ def cmd_verify_crossed_iso(args) -> int:
     graph = graph_from_json(_load_json(args.graph))
     group = _load_group(args.group)
     labeling = labeling_from_json(group, _load_json(args.label))
+    if args.samples < 0:
+        raise InputError(f"--samples must be at least 0, got {args.samples}")
     report = verify_iso(graph, labeling, sample_count=args.samples, seed=args.seed)
     print(report.summary())
     return 0 if report.ok else 1
 
 
 def cmd_selftest(args) -> int:
-    from .selftest import TIME_BUDGETS, run_all
-    results = run_all(args.seed)
+    from .selftest import DEFAULT_SEED, TIME_BUDGETS, run_all
+    results = run_all(DEFAULT_SEED if args.seed is None else args.seed)
     failed = 0
     for result in results:
         over = result.seconds > TIME_BUDGETS[result.number]
@@ -241,6 +245,46 @@ def cmd_selftest(args) -> int:
         if not result.passed or over:
             failed += 1
     return 0 if failed == 0 else 1
+
+
+# name: (handler, help line, arguments in parser order; a bracketed flag is optional)
+COMMANDS = {
+    "validate": (cmd_validate, "report every broken graph invariant", "--graph"),
+    "skew": (cmd_skew, "skew product by a labeling into a finite group", "--graph --label --group"),
+    "quotient": (cmd_quotient, "orbit graph of a group action", "--graph --action"),
+    "gross-tucker": (
+        cmd_gross_tucker, "present a free action as a skew product over its quotient", "--graph --action"
+    ),
+    "cayley": (cmd_cayley, "Cayley separated graph of a finite group", "--group --generators"),
+    "reduce": (cmd_reduce, "rewrite an element literal to normal form", "--graph [--ex-choice] element"),
+    "mul": (cmd_mul, "multiply two element literals", "--graph [--ex-choice] left right"),
+    "star": (cmd_star, "adjoint of an element literal", "--graph [--ex-choice] element"),
+    "expect": (
+        cmd_expect, "conditional expectation onto the vertex span", "--graph [--ex-choice] element"
+    ),
+    "grade": (
+        cmd_grade, "decompose an element by a labeling", "--graph [--ex-choice] --label --group element"
+    ),
+    "act": (
+        cmd_act, "apply an induced automorphism to an element", "--graph [--ex-choice] --action g element"
+    ),
+    "verify-crossed-iso": (
+        cmd_verify_crossed_iso,
+        "verify the skew-product/crossed-product dictionary",
+        "--graph --label --group [--samples] --seed",
+    ),
+    "selftest": (cmd_selftest, "run the acceptance criteria", "[--seed]"),
+}
+
+# the spec of every argument that has one, shared by each command that takes it
+ARGUMENTS = {
+    "--graph": {"help": "path to a graph JSON file"},
+    "--ex-choice": {"help": "JSON file mapping vertex -> [chosen edge per cell]"},
+    "--generators": {"help": "comma-separated element literals"},
+    "--samples": {"type": int, "default": 100},
+    "--seed": {"type": int},
+    "g": {"help": "group element literal"},
+}
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
@@ -257,107 +301,17 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         description="exact computation with separated graphs and their path algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    names = []
-
-    def add(name, fn, help):
-        """The subparser for ``name``, or None when building for another command."""
-        names.append(name)
-        if command not in (None, name):
-            return None
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        return p
-
-    def graph_flag(p, required=True):
-        p.add_argument("--graph", required=required, help="path to a graph JSON file")
-
-    def choice_flag(p):
-        p.add_argument(
-            "--ex-choice",
-            dest="ex_choice",
-            help="JSON file mapping vertex -> [chosen edge per cell]",
-        )
-
-    if p := add("validate", cmd_validate, "report every broken graph invariant"):
-        graph_flag(p)
-
-    if p := add("skew", cmd_skew, "skew product by a labeling into a finite group"):
-        graph_flag(p)
-        p.add_argument("--label", required=True)
-        p.add_argument("--group", required=True)
-
-    if p := add("quotient", cmd_quotient, "orbit graph of a group action"):
-        graph_flag(p)
-        p.add_argument("--action", required=True)
-
-    if p := add(
-        "gross-tucker",
-        cmd_gross_tucker,
-        "present a free action as a skew product over its quotient",
-    ):
-        graph_flag(p)
-        p.add_argument("--action", required=True)
-
-    if p := add("cayley", cmd_cayley, "Cayley separated graph of a finite group"):
-        p.add_argument("--group", required=True)
-        p.add_argument("--generators", required=True, help="comma-separated element literals")
-
-    if p := add("reduce", cmd_reduce, "rewrite an element literal to normal form"):
-        graph_flag(p)
-        choice_flag(p)
-        p.add_argument("element")
-
-    if p := add("mul", cmd_mul, "multiply two element literals"):
-        graph_flag(p)
-        choice_flag(p)
-        p.add_argument("left")
-        p.add_argument("right")
-
-    if p := add("star", cmd_star, "adjoint of an element literal"):
-        graph_flag(p)
-        choice_flag(p)
-        p.add_argument("element")
-
-    if p := add("expect", cmd_expect, "conditional expectation onto the vertex span"):
-        graph_flag(p)
-        choice_flag(p)
-        p.add_argument("element")
-
-    if p := add("grade", cmd_grade, "decompose an element by a labeling"):
-        graph_flag(p)
-        choice_flag(p)
-        p.add_argument("--label", required=True)
-        p.add_argument("--group", required=True)
-        p.add_argument("element")
-
-    if p := add("act", cmd_act, "apply an induced automorphism to an element"):
-        graph_flag(p)
-        choice_flag(p)
-        p.add_argument("--action", required=True)
-        p.add_argument("g", help="group element literal")
-        p.add_argument("element")
-
-    if p := add(
-        "verify-crossed-iso",
-        cmd_verify_crossed_iso,
-        "verify the skew-product/crossed-product dictionary",
-    ):
-        graph_flag(p)
-        p.add_argument("--label", required=True)
-        p.add_argument("--group", required=True)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, required=True)
-
-    if p := add("selftest", cmd_selftest, "run the acceptance criteria"):
-        from .selftest import DEFAULT_SEED
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    if command is None:
-        return parser
-    if command not in names:
-        return build_parser()
-    # the usage line an extra argument prints names every command, as the full parser's does
-    sub.metavar = "{" + ",".join(names) + "}"
+    for name, (fn, summary, arguments) in COMMANDS.items():
+        if command not in COMMANDS or command == name:
+            p = sub.add_parser(name, help=summary)
+            p.set_defaults(fn=fn)
+            for argument in arguments.split():
+                flag = argument.strip("[]")
+                required = {"required": flag == argument} if flag.startswith("-") else {}
+                p.add_argument(flag, **ARGUMENTS.get(flag, {}), **required)
+    if command in COMMANDS:
+        # the usage line an extra argument prints names every command, as the full parser's does
+        sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
 
 
@@ -382,7 +336,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (InputError, GraphError, GroupError, AlgebraError, ScalarError, ValueError) as exc:
+    except (InputError, GraphError, GroupError, AlgebraError, ScalarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -379,7 +379,7 @@ def group_from_json(data: dict, _depth: int = 0, _where: str = "malformed group 
             group_from_json(f, _depth + 1, f"{_where}.factors[{i}]")
             for i, f in enumerate(data["factors"])
         ))
-    raise GroupError(f"unknown group type {kind!r}")
+    raise GroupError(f"{_where}.type: expected 'free', 'z', 'zmod' or 'product', got {kind!r}")
 
 
 # -- labelings ----------------------------------------------------------------

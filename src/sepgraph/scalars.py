@@ -13,6 +13,8 @@ imaginary parts are available as ``Fraction`` through ``re`` and ``im``.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -91,13 +93,16 @@ class GaussianRational:
 
     def __str__(self) -> str:
         re, im = self.re, self.im
-        if not im:
-            return str(re)
-        imag = "i" if abs(im) == 1 else f"{abs(im)}i"
-        if not re:
-            return imag if im > 0 else "-" + imag
-        sign = "+" if im > 0 else "-"
-        return f"{re}{sign}{imag}"
+        try:
+            if not im:
+                return str(re)
+            imag = "i" if abs(im) == 1 else f"{abs(im)}i"
+            if not re:
+                return imag if im > 0 else "-" + imag
+            sign = "+" if im > 0 else "-"
+            return f"{re}{sign}{imag}"
+        except ValueError:  # str() of an int past Python's int-string limit
+            raise ScalarError(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from None
 
     __repr__ = __str__
 
@@ -118,6 +123,10 @@ def _canonical(a: int, b: int, d: int) -> GaussianRational:
 
 
 ONE = GaussianRational.of(1)
+
+# Fraction builds 10**exponent in full; a larger power could not be printed anyway
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
 def _parse_imag(token: str) -> Fraction:
@@ -141,6 +150,10 @@ def parse_scalar(text: str) -> GaussianRational:
         if s[k] in "+-" and s[k - 1] not in "+-/eE":
             split = k
     try:
+        for digits in _EXPONENT.findall(s):
+            exponent = digits.replace("_", "").lstrip("0")
+            if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+                raise ValueError(f"an exponent of magnitude over {MAX_EXPONENT}")
         if split is not None and s.endswith("i"):
             return GaussianRational(Fraction(s[:split]), _parse_imag(s[split:]))
         if s.endswith("i"):

@@ -152,6 +152,14 @@ def test_unknown_edge_is_a_context_error():
         reduce_word(ctx, (fwd("nope"),))
 
 
+@pytest.mark.parametrize("strategy", ["rightmots", "left", ""])
+def test_an_unknown_fold_strategy_is_rejected(strategy):
+    # a typo must not silently fold leftmost or rightmost and pass a confluence check
+    ctx = LeavittContext(bouquet_graph(2))
+    with pytest.raises(AlgebraError, match="unknown strategy"):
+        reduce_word(ctx, (fwd("a1"), bwd("a1")), strategy=strategy)
+
+
 @pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
 def test_deep_cancellation_reduces_without_recursion(strategy):
     n = 10**5

@@ -362,6 +362,51 @@ def test_verify_samples_must_not_be_negative(capsys, a2_file, tmp_path, samples,
         assert out.startswith("PASS") and "0 sampled identities" in out
 
 
+# (file name -> bytes, argv, what stderr must name): inputs that end in a ValueError from Python
+# or the library, which cli.main does not catch, so each must become an input error of its own
+VALUE_ERRORS = [
+    ({"bad": b"\xff\xfe{"}, ["reduce", "--graph", "{bad}", "a1"],
+     "cannot read {bad}: 'utf-8' codec can't decode byte 0xff"),
+    ({}, ["reduce", "--graph", "{a2}\0", "a1"], "cannot read {a2}\0: embedded null byte"),
+    ({"spec": b'{"type": "zmod", "n": ' + b"7" * 5000 + b"}"},
+     ["cayley", "--group", "{spec}", "--generators", "1"],
+     "{spec}: a number has more than 4300 digits"),
+    ({}, ["mul", "--graph", "{a2}", "1e3000 * a1", "1e3000 * a1"],
+     "a coefficient has more than 4300 digits"),
+    ({}, ["reduce", "--graph", "{a2}", "1e4300 * a1"], "a coefficient has more than 4300 digits"),
+    ({}, ["reduce", "--graph", "{a2}", "1e5000 * a1"],
+     "bad scalar literal '1e5000': an exponent of magnitude over 4300"),
+    ({"label": b'{"a1": 1, "a2": 1}'},
+     ["verify-crossed-iso", "--graph", "{a2}", "--group", "zmod:2", "--label", "{label}",
+      "--samples", "-3", "--seed", "1"], "--samples must be at least 0, got -3"),
+]
+
+
+@pytest.mark.parametrize(
+    "files,argv,where", VALUE_ERRORS, ids=["not-utf8", "nul-in-path", "json-int-digits",
+                                         "product-digits", "literal-digits", "exponent", "samples"]
+)
+def test_an_input_that_ends_in_a_value_error_is_named(capsys, a2_file, tmp_path, files, argv, where):
+    paths = {"a2": a2_file}
+    for name, data in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        paths[name] = str(path)
+    code, out, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert where.format(**paths) in err
+
+
+def test_a_program_error_is_not_reported_as_an_input_error(monkeypatch, a2_file):
+    def broken(graph):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["validate", "--graph", a2_file])
+
+
 def test_group_shorthand_comes_before_a_same_named_path(capsys, a2_file, tmp_path, monkeypatch):
     (tmp_path / "z").mkdir()
     label = tmp_path / "label.json"
@@ -439,6 +484,8 @@ MISTYPED = [
      "action JSON.table['0'].vertices: expected an object, got a list"),
     ({"choice": {"v": "a1"}}, ["reduce", "--graph", "{a2}", "--ex-choice", "{choice}", "a1"],
      "--ex-choice['v']: expected a list, got 'a1'"),
+    ({"act": {"group": {"type": "x"}, "table": {}}}, ["quotient", "--graph", "{a2}", "--action", "{act}"],
+     "malformed action JSON.group.type: expected 'free', 'z', 'zmod' or 'product', got 'x'"),
 ]
 
 

@@ -5,8 +5,9 @@ live there, so paths in messages are the same wherever the checkout is) and
 must reproduce the recorded stdout, stderr and exit code byte for byte.
 
 The fixture ``tests/golden/cli_outputs.json`` was recorded from the code
-before Q(i) scalars became integer-coded; re-record it only for an intended
-change of output:
+before Q(i) scalars became integer-coded; ``tests/golden/cli_usage.json`` pins
+what the parser prints (help, usage, errors) at 80 columns.  Re-record them
+only for an intended change of output:
 
     PYTHONPATH=src python tests/test_cli_golden.py --record
 """
@@ -27,6 +28,7 @@ from sepgraph.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FIXTURE = GOLDEN / "cli_outputs.json"
+USAGE = GOLDEN / "cli_usage.json"
 
 CASES = [
     ["validate", "--graph", "a2.json"],
@@ -90,6 +92,27 @@ def _key(argv) -> str:
     return json.dumps(argv)
 
 
+COMMANDS = (
+    "validate", "skew", "quotient", "gross-tucker", "cayley", "reduce", "mul", "star",
+    "expect", "grade", "act", "verify-crossed-iso", "selftest",
+)
+# every argv that argparse ends; a bare `selftest` parses, and runs the timed suite
+USAGE_CASES = (
+    [[name, "--help"] for name in COMMANDS]
+    + [[name] for name in COMMANDS if name != "selftest"]
+    + [["selftest", "--seed", "x"], ["-h"], [], ["no-such-command"]]
+)
+
+
+def run_usage(argv) -> dict:
+    """What ``main(argv)`` prints before argparse exits, and the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+    return {"code": exc.value.code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def test_fixture_covers_every_case():
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert sorted(recorded) == sorted(_key(argv) for argv in CASES)
@@ -107,9 +130,17 @@ def test_output_is_byte_identical(argv, monkeypatch):
     assert run_case(argv) == recorded
 
 
+@pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_output_is_byte_identical(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    recorded = json.loads(USAGE.read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(_key(argv) for argv in USAGE_CASES)
+    assert run_usage(argv) == recorded[_key(argv)]
+
+
 INPUTS = sorted(
     path.name for path in GOLDEN.glob("*.json")
-    if path.name not in (FIXTURE.name, "normal_word_draws.json")
+    if path.name not in (FIXTURE.name, USAGE.name, "normal_word_draws.json")
 )
 RAW_EXCEPTION = re.compile(
     r"object is not subscriptable|indices must be|has no attribute|invalid literal for int\(\)"
@@ -170,6 +201,9 @@ def record() -> None:
     finally:
         os.chdir(here)
     FIXTURE.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    os.environ["COLUMNS"] = "80"
+    usage = {_key(argv): run_usage(argv) for argv in USAGE_CASES}
+    USAGE.write_text(json.dumps(usage, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

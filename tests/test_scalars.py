@@ -42,6 +42,17 @@ def test_parse_rejects(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["1e5000", "1e-5000", "2-1e5000i", "1e00_5000"])
+def test_an_exponent_past_the_bound_is_rejected_before_the_power_is_built(text):
+    with pytest.raises(ScalarError, match="exponent of magnitude over 4300"):
+        parse_scalar(text)
+
+
+def test_an_exponent_at_the_bound_parses():
+    assert parse_scalar("1e4300") == GaussianRational.of(10**4300)
+    assert parse_scalar("-1e-4300i") == GaussianRational.of(0, Fraction(-1, 10**4300))
+
+
 @given(gaussians)
 def test_format_roundtrip(z):
     assert parse_scalar(str(z)) == z
