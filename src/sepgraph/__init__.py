@@ -17,9 +17,10 @@ The package is organized around five layers:
   verification for finite groups.
 
 Elements, words, groups, and the records of graphs, labelings and actions
-never change once built.  A context memoizes ``expect_cache``, bounded at
-``expectation.MEMO_ENTRIES`` words with the oldest dropped first, and
-``compatible_with``; a graph memoizes its step table.  All arithmetic is exact.
+never change once built.  A context memoizes ``expect_cache``, N of each
+term's word, bounded at ``expectation.MEMO_ENTRIES`` words with the oldest
+dropped first, and ``compatible_with``; a graph memoizes its step table.
+All arithmetic is exact.
 """
 
 from .scalars import GaussianRational

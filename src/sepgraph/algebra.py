@@ -20,10 +20,10 @@ rewriting terminates.  It runs as one stack pass over the word per branch,
 without recursion, so cancellation is linear in the word length.
 
 Every rule reads two adjacent letters, so R1-R3 are one rule, :func:`junction`,
-which every fold reads; with no chosen edge it gives the expectation's weak
-rules.  Two normal words meet in one new adjacent pair, the *junction*, so a
-product's term pair is normal unless its junction is forbidden, and only then
-is it folded.
+which every fold reads; the expectation's pushdown reads it with every edge of
+its word chosen.  Two normal words meet in one new adjacent pair, the
+*junction*, so a product's term pair is normal unless its junction is
+forbidden, and only then is it folded.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ class LeavittContext:
     The choice parameterizes the basis; the default is the lexicographically
     smallest edge id in each cell.  The graph's step table is shared by every
     context over it; a context adds only its set of chosen edges, the
-    expectation's memo (bounded: past ``expectation.MEMO_ENTRIES`` words it
-    drops its oldest) and the fiberwise choices it passed.
+    expectation's memo from a term's word to its N (bounded: past
+    ``expectation.MEMO_ENTRIES`` words it drops its oldest) and the fiberwise
+    choices it passed.
     """
 
     __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache", "compatible_with")
@@ -142,7 +143,7 @@ def junction(table: dict, chosen, a: SignedEdge, b: SignedEdge) -> int:
     """The rewriting of the adjacent letters ``a b``: ``e* e`` cancels (R1),
     ``e* f`` for distinct edges of one cell kills (R2), and ``e e*`` cancels
     for a singleton cell and splits (R3) if ``e`` is in ``chosen``; any other
-    pair appends ``b``.  With ``chosen`` empty these are the weak rules."""
+    pair appends ``b``."""
     if a.star:
         if not b.star and table[a][2] == table[b][2]:
             return CANCEL if a.edge == b.edge else KILL

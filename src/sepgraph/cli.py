@@ -89,6 +89,9 @@ def _load_group(spec: str):
         try:
             return CyclicGroup(int(spec[5:]))
         except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < sum(map(str.isdigit, spec)):  # past Python's int-string limit
+                raise InputError(f"group spec zmod: the modulus has more than {limit} digits") from None
             raise InputError(f"group spec {spec!r} needs an integer modulus") from None
     if spec.startswith("free:"):
         return FreeGroup(tuple(spec.split(":", 1)[1].split(",")))

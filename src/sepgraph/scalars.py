@@ -127,6 +127,7 @@ ONE = GaussianRational.of(1)
 # Fraction builds 10**exponent in full; a larger power could not be printed anyway
 MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+_NUMBER = re.compile(r"[\d_.]+")
 
 
 def _parse_imag(token: str) -> Fraction:
@@ -160,4 +161,7 @@ def parse_scalar(text: str) -> GaussianRational:
             return GaussianRational(Fraction(0), _parse_imag(s))
         return GaussianRational(Fraction(s), Fraction(0))
     except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if 0 < limit < max((sum(map(str.isdigit, run)) for run in _NUMBER.findall(s)), default=0):
+            raise ScalarError(f"a coefficient has more than {limit} digits") from None
         raise ScalarError(f"bad scalar literal {text!r}: {exc}") from None

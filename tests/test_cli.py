@@ -398,6 +398,19 @@ def test_an_input_that_ends_in_a_value_error_is_named(capsys, a2_file, tmp_path,
     assert where.format(**paths) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["cayley", "--group", "zmod:" + "9" * 5000, "--generators", "1"],
+     ["reduce", "--graph", "{a2}", "9" * 5000 + " * a1"]],
+    ids=["zmod-modulus", "coefficient"],
+)
+def test_a_long_integer_names_the_limit_in_a_short_line(capsys, a2_file, argv):
+    code, out, err = run(capsys, *[arg.format(a2=a2_file) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "more than 4300 digits" in err
+    assert "set_int_max_str_digits" not in err and len(err) < 200
+
+
 def test_a_program_error_is_not_reported_as_an_input_error(monkeypatch, a2_file):
     def broken(graph):
         raise ValueError("a bug, not an input error")

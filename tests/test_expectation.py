@@ -17,12 +17,12 @@ from sepgraph.algebra import (
     word_degree,
 )
 from sepgraph.expectation import (
+    _n_value,
     beta_element,
     cell_subgraph,
     expect,
     n_mu,
     phi_ordinary,
-    weakly_reduce,
 )
 from sepgraph.graphs import (
     Edge,
@@ -129,30 +129,83 @@ def test_expectation_is_vertex_supported_and_linear():
     assert value == parse_element(ctx, "1+1/2i * @v")
 
 
-# -- weak reduction ----------------------------------------------------------------
+# -- the choice-independent rules ---------------------------------------------------
 
 
 def test_weak_reduction_cancels_star_then_edge():
-    graph = fig5()
-    assert weakly_reduce(graph, (bwd("al1"), fwd("al1"))) == ()
+    ctx = LeavittContext(fig5())
+    assert _n_value(ctx, (bwd("al1"), fwd("al1"))) == 1
 
 
 def test_weak_reduction_kills_same_cell_mismatch():
-    graph = fig5()
-    assert weakly_reduce(graph, (bwd("al1"), fwd("al2"))) is None
+    # the free label is trivial, so only the kill of al1* al2 gives zero
+    ctx = LeavittContext(fig5())
+    assert _n_value(ctx, (bwd("al1"), fwd("al2"), bwd("al2"), fwd("al1"))) == 0
 
 
 def test_weak_reduction_keeps_large_cell_pairs():
-    graph = fig5()
-    steps = (fwd("al1"), bwd("al1"))
-    assert weakly_reduce(graph, steps) == steps
+    ctx = LeavittContext(fig5())
+    assert _n_value(ctx, (fwd("al1"), bwd("al1"))) == Fraction(1, 2)
 
 
 def test_weak_reduction_drops_singleton_pairs():
     graph = SeparatedGraph(
         ["v"], [("a", "v", "v"), ("b", "v", "v")], {"v": [["a"], ["b"]]}
     )
-    assert weakly_reduce(graph, (fwd("a"), bwd("a"), fwd("b"))) == (fwd("b"),)
+    ctx = LeavittContext(graph)
+    assert _n_value(ctx, (fwd("b"), fwd("a"), bwd("a"), bwd("b"))) == 1
+
+
+# -- the block family ------------------------------------------------------------------
+
+
+def three_cells():
+    ids = ("a1", "a2", "c1", "c2", "b1", "b2")
+    return SeparatedGraph(
+        ["v"], [(e, "v", "v") for e in ids], {"v": [["a1", "a2"], ["c1", "c2"], ["b1", "b2"]]}
+    )
+
+
+def blocks(count):
+    """Blocks ``x b2 b2* x*`` with x alternating a1, c1.  Deleting a ``b2 b2*``
+    pair lets no letters cancel, so an expansion over deleted pairs cannot
+    merge its terms here."""
+    word = ()
+    for i in range(count):
+        x = "c1" if i % 2 else "a1"
+        word += (fwd(x), fwd("b2"), bwd("b2"), bwd(x))
+    return word
+
+
+def test_block_family_values():
+    # the values of the merged prefix walk this module used before
+    pinned = {
+        4: Fraction(7, 256),
+        6: Fraction(29, 2048),
+        8: Fraction(523, 65536),
+        10: Fraction(2483, 524288),
+    }
+    for count, value in pinned.items():
+        assert _n_value(LeavittContext(three_cells()), blocks(count)) == value, count
+
+
+def test_block_family_work_grows_polynomially(monkeypatch):
+    # the prefix walk's work grew 4x for every two blocks; the pushdown's
+    # junction count must grow less than 4.5x per doubling
+    calls = []
+    real = expectation.junction
+
+    def counting(table, chosen, a, b):
+        calls.append(None)
+        return real(table, chosen, a, b)
+
+    monkeypatch.setattr(expectation, "junction", counting)
+    counts = []
+    for count in (10, 20, 40, 80):
+        calls.clear()
+        _n_value(LeavittContext(three_cells()), blocks(count))
+        counts.append(len(calls))
+    assert all(b < 4.5 * a for a, b in zip(counts, counts[1:])), counts
 
 
 # -- the ordinary-graph oracle -------------------------------------------------------
@@ -337,36 +390,20 @@ def test_expectation_is_idempotent():
 # -- the memo -------------------------------------------------------------------------
 
 
-def test_normal_words_are_weakly_reduced():
-    # each weak rule's pair is forbidden in a normal word, so the memo can be
-    # asked for a normal term's own steps
-    rng = random.Random(41)
-    checked = 0
-    for _ in range(30):
-        graph = random_separated_graph(rng)
-        ctx = LeavittContext(graph)
-        for _ in range(20):
-            word = random_normal_word(rng, ctx, max_len=10)
-            if not word.is_vertex:
-                assert weakly_reduce(graph, word.steps) == word.steps, word
-                checked += 1
-    assert checked >= 500
-
-
-def _count_weak_reductions(monkeypatch):
+def _count_pushdowns(monkeypatch):
     calls = []
-    real = expectation.weakly_reduce
+    real = expectation._pushdown
 
-    def counting(graph, steps):
+    def counting(table, steps):
         calls.append(steps)
-        return real(graph, steps)
+        return real(table, steps)
 
-    monkeypatch.setattr(expectation, "weakly_reduce", counting)
+    monkeypatch.setattr(expectation, "_pushdown", counting)
     return calls
 
 
-def test_a_warm_expect_weakly_reduces_no_term(monkeypatch):
-    calls = _count_weak_reductions(monkeypatch)
+def test_a_warm_expect_computes_no_term(monkeypatch):
+    calls = _count_pushdowns(monkeypatch)
     ctx = LeavittContext(fig5())
     words = [
         (fwd("al2"), bwd("al2")),
@@ -381,8 +418,8 @@ def test_a_warm_expect_weakly_reduces_no_term(monkeypatch):
     assert calls == []
 
 
-def test_a_warm_expect_on_random_elements_weakly_reduces_nothing(monkeypatch):
-    calls = _count_weak_reductions(monkeypatch)
+def test_a_warm_expect_on_random_elements_computes_nothing(monkeypatch):
+    calls = _count_pushdowns(monkeypatch)
     rng = random.Random(43)
     for _ in range(10):
         ctx = LeavittContext(random_separated_graph(rng))

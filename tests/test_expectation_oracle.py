@@ -1,22 +1,23 @@
-"""The merged left-to-right walk of ``expectation`` against the subset expansion.
+"""The pushdown of ``expectation`` against the subset expansion.
 
-``subset_n_value`` below is the direct 2^t expansion of the expectation: for a
-weakly reduced word with t ``e e*`` occurrences it sums over every proper
-subset of kept occurrences, deleting the others.  It shares no code with
-``sepgraph.expectation`` (only graph queries), so it is an independent oracle;
-its cost is exponential in t, which limits it to t <= 10 here.
+``subset_n_value`` below is the direct 2^t expansion of the expectation: it
+first drops ``e* e`` and singleton ``e e*`` pairs and kills on ``e* f`` in one
+cell, then, for the remaining word with t ``e e*`` occurrences, sums over every
+proper subset of kept occurrences, deleting the others.  It shares no code with
+``sepgraph.expectation`` (only graph queries), so it is an independent oracle
+for the one-pass pushdown (``_n_value``, which the ``walk`` tests call); its
+cost is exponential in t, which limits it to t <= 10 here.
 """
 
 import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepgraph.algebra import AlgebraElement, LeavittContext, NormalWord, from_word, vertex_element
-from sepgraph.expectation import _n_value, expect, weakly_reduce
+from sepgraph.expectation import _n_value, expect
 from sepgraph.graphs import SeparatedGraph, SignedEdge
 from sepgraph.sampling import random_composable_word, random_separated_graph
 from sepgraph.scalars import ONE
@@ -275,23 +276,3 @@ def test_random_unreduced_terms_match_the_oracle_cold_and_warm():
                 assert_cold_and_warm_match_oracle(ctx, steps)
                 unreduced += subset_weakly_reduce(graph, steps) != steps
     assert unreduced >= 100
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_weakly_reduce_matches_the_subset_oracles_reduction(seed):
-    # the rewriter's weak rules against the oracle's own, on random walks; the
-    # walks must reach both a kill (e* f in one cell) and a singleton e e* pair
-    rng = random.Random(seed)
-    kills = singletons = 0
-    for _ in range(40):
-        graph = random_separated_graph(rng, max_vertices=3)
-        for _ in range(20):
-            steps = random_composable_word(rng, graph, max_len=12)
-            reduced = subset_weakly_reduce(graph, steps)
-            assert weakly_reduce(graph, steps) == reduced, steps
-            kills += reduced is None
-            singletons += any(
-                len(graph.cell_edges(*graph.cell_of(steps[i].edge))) == 1
-                for i in pair_occurrences(steps)
-            )
-    assert kills >= 50 and singletons >= 50
