@@ -18,9 +18,9 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from sepgraph.algebra import LeavittContext, element_literal, parse_element, vertex_element
+from sepgraph.algebra import LeavittContext, NormalWord, element_literal, parse_element, vertex_element
 from sepgraph.expectation import cell_subgraph, expect, n_mu, phi_ordinary
-from sepgraph.graphs import SeparatedGraph, forward_path
+from sepgraph.graphs import SeparatedGraph, SignedEdge
 
 
 def build_graph():
@@ -54,7 +54,7 @@ def main():
     for cell_index, edge in ((0, "al1"), (1, "be1")):
         sub = cell_subgraph(graph, "v", cell_index)
         sub_ctx = LeavittContext(sub)
-        mu = forward_path(sub, [edge])
+        mu = NormalWord.of_steps((SignedEdge(edge),))
         oracle = phi_ordinary(sub_ctx, mu, mu)
         direct = expect(parse_element(ctx, f"{edge} {edge}*"))
         status = "ok" if element_literal(direct) == element_literal(oracle) else "MISMATCH"

@@ -13,8 +13,8 @@ The package is organized around five layers:
 * :mod:`sepgraph.expectation` -- the canonical conditional expectation onto
   the span of the vertex projections, with exact rational values.
 * :mod:`sepgraph.crossed` -- the algebraic crossed product by the grading of
-  a labeling, the skew-product isomorphism on basis elements, and its
-  verification for finite groups.
+  a labeling, the lift of base words to the skew product, the isomorphism on
+  basis elements, and its verification for finite groups.
 
 Elements, words, groups, and the records of graphs, labelings and actions
 never change once built.  A context memoizes ``expect_cache``, N of each
@@ -28,16 +28,13 @@ from .graphs import (
     Edge,
     GraphError,
     GraphMorphism,
-    GraphPath,
     SeparatedGraph,
     SignedEdge,
     SkewProduct,
     check_isomorphism,
-    forward_path,
     graph_from_json,
     graph_to_json,
     quotient_graph,
-    skew_path,
     skew_product,
     validate,
 )
@@ -84,6 +81,7 @@ from .crossed import (
     crossed_star,
     phi_map,
     psi_on_generators,
+    skew_path,
     verify_iso,
 )
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import scalars
-from .graphs import SeparatedGraph, SignedEdge
+from .graphs import SeparatedGraph, SignedEdge, quote
 from .groups import GraphAction, GroupElement, Labeling
 from .scalars import GaussianRational, parse_scalar
 
@@ -49,6 +49,7 @@ class _Word(NamedTuple):
 
 class NormalWord(_Word):
     """Either a vertex projection or a basis word over the extended alphabet.
+    A path of the graph is a word too: the vertex word when it is empty.
 
     A plain tuple underneath, so words hash and compare without a
     Python-level call; only construction checks the shape.
@@ -72,6 +73,12 @@ class NormalWord(_Word):
     @property
     def is_vertex(self) -> bool:
         return self.vertex is not None
+
+    def source(self, graph: SeparatedGraph) -> str:
+        return self.vertex if self.is_vertex else graph.source(self.steps[0])
+
+    def range(self, graph: SeparatedGraph) -> str:
+        return self.vertex if self.is_vertex else graph.range(self.steps[-1])
 
     def adjoint(self) -> "NormalWord":
         """The word reversed with orientations flipped; a vertex is its own."""
@@ -510,7 +517,7 @@ def parse_element(ctx: LeavittContext, text: str) -> AlgebraElement:
     values = []
     for sign, term in zip(signs, terms):
         if not term:
-            raise AlgebraError(f"dangling sign in element literal {text!r}")
+            raise AlgebraError(f"dangling sign in element literal {quote(text)}")
         coeff = scalars.ONE
         if len(term) >= 2 and term[1] == "*":
             try:
@@ -519,7 +526,7 @@ def parse_element(ctx: LeavittContext, text: str) -> AlgebraElement:
                 raise AlgebraError(str(exc)) from None
             term = term[2:]
             if not term:
-                raise AlgebraError(f"coefficient without a word in {text!r}")
+                raise AlgebraError(f"coefficient without a word in {quote(text)}")
         values.append(_parse_term(ctx, term, coeff * sign))
     return sum_of(ctx, values)
 

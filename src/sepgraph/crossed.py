@@ -36,7 +36,7 @@ from .algebra import (
     vertex_element,
     word_degree,
 )
-from .graphs import SignedEdge, SkewProduct, skew_product
+from .graphs import GraphError, SignedEdge, SkewProduct, skew_product
 from .groups import GroupElement, GroupError, Labeling, translation_action
 from .sampling import random_normal_word
 
@@ -169,23 +169,33 @@ def phi_map(
     return CrossedElement(base_ctx, labeling, {crossed_word(w): c for w, c in x.terms.items()})
 
 
-def phi_inverse_word(
-    cw: CrossedWord, skew: SkewProduct, skew_ctx: LeavittContext
-) -> NormalWord:
-    """The unique skew-product basis word mapping to a crossed word."""
-    g = (word_degree(cw.word, skew.labeling) * cw.slot).inverse()
-    if cw.word.is_vertex:
-        return NormalWord.of_vertex(skew.vertex_name[(cw.word.vertex, g)])
+def skew_path(skew: SkewProduct, word: NormalWord, g: GroupElement) -> NormalWord:
+    """The lift of a base word to the skew product that starts in the ``g`` fiber.
+
+    A letter x moves the fiber from h to h c(x), where c(e*) = c(e)^-1: e lifts
+    to the edge (e, h) and e* to the reverse of the edge (e, h c(e)^-1).  So the
+    lift of w runs from (s(w), g) to (r(w), g c(w)).  Raises GraphError on an
+    unknown vertex or edge, or on a word whose steps do not compose.
+    """
+    base = skew.base
+    at = word.source(base)
+    base.require_vertex(at)
     steps = []
-    h = g
-    for s in cw.word.steps:
-        if s.star:
-            h = h * skew.labeling.of(s.edge).inverse()
-            steps.append(SignedEdge(skew.edge_name[(s.edge, h)], True))
-        else:
-            steps.append(SignedEdge(skew.edge_name[(s.edge, h)]))
-            h = h * skew.labeling.of(s.edge)
-    return NormalWord.of_steps(tuple(steps))
+    for s in word.steps:
+        if base.source(s) != at:
+            raise GraphError(f"malformed path: {s.literal()} leaves {base.source(s)!r}, not {at!r}")
+        at = base.range(s)
+        h = g * skew.labeling.of_word((s,))
+        steps.append(SignedEdge(skew.edge_name[(s.edge, h if s.star else g)], s.star))
+        g = h
+    return NormalWord.of_steps(steps) if steps else NormalWord.of_vertex(skew.vertex_name[(at, g)])
+
+
+def phi_inverse_word(cw: CrossedWord, skew: SkewProduct) -> NormalWord:
+    """The unique skew-product basis word mapping to a crossed word (b, h): the
+    lift of b that starts in the fiber (deg(b) h)^-1."""
+    g = word_degree(cw.word, skew.labeling) * cw.slot
+    return skew_path(skew, cw.word, g.inverse())
 
 
 # -- the inverse covariant pair (finite groups only) ------------------------------

@@ -66,7 +66,7 @@ from .algebra import (
     vertex_element,
     zero,
 )
-from .graphs import GraphError, GraphPath, SeparatedGraph, SignedEdge
+from .graphs import GraphError, SeparatedGraph, SignedEdge
 
 
 # the most words a context's expectation memo keeps
@@ -160,37 +160,36 @@ def expect(x: AlgebraElement) -> AlgebraElement:
 # -- the ordinary-graph oracle ---------------------------------------------------
 
 
-def _require_ordinary(graph: SeparatedGraph) -> None:
-    for v in graph.vertices:
-        if len(graph.cells(v)) > 1:
-            raise AlgebraError(
-                f"graph is not trivially separated: vertex {v!r} has several cells"
-            )
+def _require_forward(graph: SeparatedGraph, path: NormalWord) -> None:
+    """Raise unless a word is a forward path: composable, with no star letter."""
+    if any(step.star for step in path.steps):
+        raise GraphError("malformed path: the closed form takes forward paths")
+    for a, b in zip(path.steps, path.steps[1:]):
+        if graph.range(a) != graph.source(b):
+            raise GraphError("malformed path: steps do not compose")
 
 
-def n_mu(graph: SeparatedGraph, mu: GraphPath) -> Fraction:
+def n_mu(graph: SeparatedGraph, mu: NormalWord) -> Fraction:
     """The inverse product of out-degrees along a forward path (1 if empty)."""
-    if not mu.is_forward():
-        raise GraphError("malformed path: n_mu is defined on forward paths")
+    _require_forward(graph, mu)
     value = Fraction(1)
     for step in mu.steps:
         value /= len(graph.out_edges(graph.source(step)))
     return value
 
 
-def phi_ordinary(ctx: LeavittContext, mu: GraphPath, nu: GraphPath) -> AlgebraElement:
-    """The closed-form expectation of S_mu S_nu* on a trivially separated graph."""
+def phi_ordinary(ctx: LeavittContext, mu: NormalWord, nu: NormalWord) -> AlgebraElement:
+    """The closed-form expectation of S_mu S_nu* for forward paths mu and nu on
+    a trivially separated graph."""
     graph = ctx.graph
-    _require_ordinary(graph)
+    for v in graph.vertices:
+        if len(graph.cells(v)) > 1:
+            raise AlgebraError(f"graph is not trivially separated: vertex {v!r} has several cells")
     for path in (mu, nu):
-        if not path.is_forward():
-            raise GraphError("malformed path: phi_ordinary takes forward paths")
-        for a, b in zip(path.steps, path.steps[1:]):
-            if graph.range(a) != graph.source(b):
-                raise GraphError("malformed path: steps do not compose")
+        _require_forward(graph, path)
     if mu.range(graph) != nu.range(graph):
         raise GraphError("malformed paths: ranges differ")
-    if mu.steps != nu.steps or mu.source(graph) != nu.source(graph):
+    if mu != nu:
         return zero(ctx)
     return vertex_element(ctx, mu.source(graph)).scale(n_mu(graph, mu))
 

@@ -1,5 +1,5 @@
-"""Finite separated graphs: validation, extended-graph paths, skew products,
-quotients, and isomorphism checking.
+"""Finite separated graphs: validation, skew products, quotients, and
+isomorphism checking.
 
 A separated graph is a finite directed graph together with, at each vertex, an
 ordered partition of the outgoing edges into nonempty cells.  The cell order
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .groups import GraphAction, GroupElement, Labeling
+    from .groups import GraphAction, Labeling
 
 
 class GraphError(Exception):
@@ -49,7 +49,7 @@ class _StepTable(dict):
     __slots__ = ()
 
     def __missing__(self, step):
-        raise GraphError(f"unknown edge id {step[0]!r}")
+        raise GraphError(f"unknown edge id {quote(step[0])}")
 
 
 class SeparatedGraph:
@@ -94,11 +94,11 @@ class SeparatedGraph:
         try:
             return self._edge_by_id[edge_id]
         except KeyError:
-            raise GraphError(f"unknown edge id {edge_id!r}") from None
+            raise GraphError(f"unknown edge id {quote(edge_id)}") from None
 
     def require_vertex(self, v: str) -> None:
         if v not in self._out:
-            raise GraphError(f"unknown vertex id {v!r}")
+            raise GraphError(f"unknown vertex id {quote(v)}")
 
     def out_edges(self, v: str) -> tuple:
         self.require_vertex(v)
@@ -229,52 +229,6 @@ def validate(graph: SeparatedGraph) -> list:
     return report
 
 
-# -- paths in the extended graph -------------------------------------------
-
-
-class GraphPath(NamedTuple):
-    """A composable sequence of signed edges; ``base`` names the vertex of the
-    empty path (source and range coincide with it)."""
-
-    base: str
-    steps: tuple = ()
-
-    def source(self, graph: SeparatedGraph) -> str:
-        return graph.source(self.steps[0]) if self.steps else self.base
-
-    def range(self, graph: SeparatedGraph) -> str:
-        return graph.range(self.steps[-1]) if self.steps else self.base
-
-    def is_forward(self) -> bool:
-        return all(not s.star for s in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-def check_path(graph: SeparatedGraph, path: GraphPath) -> None:
-    """Raise unless consecutive steps are composable (range meets source)."""
-    if not path.steps:
-        graph.require_vertex(path.base)
-        return
-    for a, b in zip(path.steps, path.steps[1:]):
-        if graph.range(a) != graph.source(b):
-            raise GraphError(
-                f"malformed path: step {a.literal()} ends at {graph.range(a)!r} "
-                f"but {b.literal()} starts at {graph.source(b)!r}"
-            )
-
-
-def forward_path(graph: SeparatedGraph, edge_ids: Sequence[str]) -> GraphPath:
-    steps = tuple(SignedEdge(eid) for eid in edge_ids)
-    base = graph.source(steps[0]) if steps else None
-    if base is None:
-        raise GraphError("forward_path needs at least one edge; use GraphPath(base) instead")
-    path = GraphPath(base, steps)
-    check_path(graph, path)
-    return path
-
-
 # -- morphisms ---------------------------------------------------------------
 
 
@@ -401,24 +355,6 @@ def skew_product(graph: SeparatedGraph, labeling: "Labeling") -> SkewProduct:
     )
 
 
-def skew_path(skew: SkewProduct, path: GraphPath, g: "GroupElement") -> GraphPath:
-    """Lift a forward path to the skew product, starting in the ``g`` fiber.
-
-    The i-th step is the edge (e_i, g*c(e_1...e_{i-1})); the lift starts at
-    (s(path), g) and ends at (r(path), g*c(path)).
-    """
-    base_graph = skew.base
-    check_path(base_graph, path)
-    if not path.is_forward():
-        raise GraphError("malformed path: skew lifts are defined on forward paths only")
-    h = g
-    steps = []
-    for step in path.steps:
-        steps.append(SignedEdge(skew.edge_name[(step.edge, h)]))
-        h = h * skew.labeling.of(step.edge)
-    return GraphPath(skew.vertex_name[(path.source(base_graph), g)], tuple(steps))
-
-
 # -- quotients ---------------------------------------------------------------
 
 
@@ -509,6 +445,18 @@ def read_graph_json(data) -> SeparatedGraph:
     check_json(separation, {str: [[str]]}, "malformed graph JSON.separation", GraphError)
     edges = [Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]]
     return SeparatedGraph(data["vertices"], edges, separation)
+
+
+# the most characters of an input string an error message quotes
+QUOTE_LIMIT = 64
+
+
+def quote(value) -> str:
+    """``repr(value)`` for an error message; a string over :data:`QUOTE_LIMIT`
+    characters shows only its start and its length, so the message stays short."""
+    if type(value) is str and len(value) > QUOTE_LIMIT:
+        return f"{value[:QUOTE_LIMIT]!r}... ({len(value):,} characters)"
+    return repr(value)
 
 
 _KINDS = {str: "a string", list: "a list", dict: "an object"}

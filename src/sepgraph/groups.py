@@ -22,6 +22,7 @@ from .graphs import (
     SkewProduct,
     check_json,
     isomorphism_violations,
+    quote,
     quotient_graph,
     skew_product,
 )
@@ -135,7 +136,7 @@ class Group:
         try:
             return self.parse(literal) if isinstance(literal, str) else self.element(literal)
         except (TypeError, ValueError):  # int() of a non-integer, or a raw value of the wrong shape
-            raise GroupError(f"{literal!r} is not an element of {self}") from None
+            raise GroupError(f"{quote(literal)} is not an element of {self}") from None
 
     def to_literal(self, el: GroupElement):
         return self._to_json(el.value)
@@ -176,7 +177,7 @@ class FreeGroup(Group):
         letters = []
         for gen, exp in raw:
             if gen not in self.generators:
-                raise GroupError(f"unknown generator {gen!r}")
+                raise GroupError(f"unknown generator {quote(gen)}")
             _require_int(exp, "exponent")
             if exp == 0:
                 continue
@@ -332,10 +333,10 @@ class ProductGroup(Group):
 
     def _parse(self, text):
         if not (text.startswith("(") and text.endswith(")")):
-            raise GroupError(f"product element literal must be parenthesized: {text!r}")
+            raise GroupError(f"product element literal must be parenthesized: {quote(text)}")
         parts = split_top_level(text[1:-1])
         if len(parts) != len(self.factors):
-            raise GroupError(f"expected {len(self.factors)} components in {text!r}")
+            raise GroupError(f"expected {len(self.factors)} components in {quote(text)}")
         return tuple(f._parse(p.strip()) for f, p in zip(self.factors, parts))
 
     def _to_json(self, value):

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 from .algebra import AlgebraElement, LeavittContext, NormalWord, forbidden_pair, from_word, sum_of
-from .graphs import Edge, GraphPath, SeparatedGraph, SignedEdge
+from .graphs import Edge, SeparatedGraph
 from .groups import Group, Labeling
 from .scalars import GaussianRational
 
@@ -48,24 +48,37 @@ def random_ordinary_graph(
     return random_separated_graph(rng, max_vertices, max_edges, ordinary=True)
 
 
-def random_composable_word(
-    rng: random.Random, graph: SeparatedGraph, max_len: int, min_len: int = 1
-) -> tuple:
-    """A random walk over the extended graph, as a tuple of signed edges."""
+def _walk(rng: random.Random, graph: SeparatedGraph, min_len: int, max_len: int, moves, ctx=None):
+    """The first of 50 random walks that takes at least ``min_len`` steps, as a
+    word (its start vertex if it took none), or None.  A walk starts at a
+    uniform vertex, aims at a uniform length in [min_len, max_len], and takes
+    each step uniformly among ``moves`` of the vertex it is at (given a context,
+    those that make no forbidden pair with the step before) while there are any."""
     for _ in range(50):
         vertex = rng.choice(graph.vertices)
         target = rng.randint(min_len, max_len)
         steps = []
         while len(steps) < target:
-            moves = graph.moves(vertex)
-            if not moves:
+            candidates = moves(vertex)
+            if ctx is not None and steps:
+                candidates = [m for m in candidates if not forbidden_pair(ctx, steps[-1], m)]
+            if not candidates:
                 break
-            step = rng.choice(moves)
-            steps.append(step)
-            vertex = graph.range(step)
+            steps.append(rng.choice(candidates))
+            vertex = graph.range(steps[-1])
         if len(steps) >= min_len:
-            return tuple(steps)
-    raise ValueError("graph admits no composable words of the requested length")
+            return NormalWord.of_steps(steps) if steps else NormalWord.of_vertex(vertex)
+    return None
+
+
+def random_composable_word(
+    rng: random.Random, graph: SeparatedGraph, max_len: int, min_len: int = 1
+) -> tuple:
+    """A random walk over the extended graph, as a tuple of signed edges."""
+    word = _walk(rng, graph, min_len, max_len, graph.moves)
+    if word is None:
+        raise ValueError("graph admits no composable words of the requested length")
+    return word.steps
 
 
 def random_normal_word(
@@ -75,20 +88,9 @@ def random_normal_word(
     the word normal.  A walk of length 0 gives its start vertex; falls back to
     a vertex word when every walk dead-ends short of ``min_len``."""
     graph = ctx.graph
-    for _ in range(50):
-        vertex = rng.choice(graph.vertices)
-        target = rng.randint(min_len, max_len)
-        steps = []
-        candidates = graph.moves(vertex)
-        while len(steps) < target and candidates:
-            step = rng.choice(candidates)
-            steps.append(step)
-            candidates = [
-                m for m in graph.moves(graph.range(step)) if not forbidden_pair(ctx, step, m)
-            ]
-        if len(steps) >= min_len:
-            return NormalWord.of_steps(tuple(steps)) if steps else NormalWord.of_vertex(vertex)
-    return NormalWord.of_vertex(rng.choice(graph.vertices))
+    return _walk(rng, graph, min_len, max_len, graph.moves, ctx) or NormalWord.of_vertex(
+        rng.choice(graph.vertices)
+    )
 
 
 def random_coefficient(rng: random.Random) -> GaussianRational:
@@ -115,19 +117,9 @@ def random_element(
     return sum_of(ctx, terms)
 
 
-def random_forward_path(rng: random.Random, graph: SeparatedGraph, max_len: int) -> GraphPath:
-    vertex = rng.choice(graph.vertices)
-    target = rng.randint(0, max_len)
-    steps = []
-    while len(steps) < target:
-        out = graph.out_edges(vertex)
-        if not out:
-            break
-        eid = rng.choice(out)
-        steps.append(SignedEdge(eid))
-        vertex = graph.range(steps[-1])
-    base = graph.source(steps[0]) if steps else vertex
-    return GraphPath(base, tuple(steps))
+def random_forward_path(rng: random.Random, graph: SeparatedGraph, max_len: int) -> NormalWord:
+    """A random walk along edges, as a word; the vertex word when it is empty."""
+    return _walk(rng, graph, 0, max_len, lambda v: [m for m in graph.moves(v) if not m.star])
 
 
 def random_labeling(rng: random.Random, graph: SeparatedGraph, group: Group) -> Labeling:

@@ -18,6 +18,8 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+from .graphs import QUOTE_LIMIT, quote
+
 
 class ScalarError(ValueError):
     pass
@@ -164,4 +166,5 @@ def parse_scalar(text: str) -> GaussianRational:
         limit = sys.get_int_max_str_digits()
         if 0 < limit < max((sum(map(str.isdigit, run)) for run in _NUMBER.findall(s)), default=0):
             raise ScalarError(f"a coefficient has more than {limit} digits") from None
-        raise ScalarError(f"bad scalar literal {text!r}: {exc}") from None
+        detail = f": {exc}" if len(text) <= QUOTE_LIMIT else ""  # else exc quotes it whole
+        raise ScalarError(f"bad scalar literal {quote(text)}{detail}") from None

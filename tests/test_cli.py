@@ -411,6 +411,29 @@ def test_a_long_integer_names_the_limit_in_a_short_line(capsys, a2_file, argv):
     assert "set_int_max_str_digits" not in err and len(err) < 200
 
 
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [(["reduce", "--graph", "{a2}", f"1/2{LONG} * a1"], "error: bad scalar literal '1/2xx"),
+     (["cayley", "--group", f"zmod:{LONG}", "--generators", "1"], "error: group spec 'zmod:xx"),
+     (["cayley", "--group", LONG, "--generators", "1"], "error: unrecognized group spec 'xx"),
+     (["reduce", "--graph", "{a2}", LONG], "error: unknown edge id 'xx"),
+     (["cayley", "--group", "zmod:3", "--generators", LONG], "error: 'xx"),
+     (["reduce", "--graph", "{a2}", f"@{LONG}"], "error: unknown vertex id 'xx"),
+     (["reduce", "--graph", "{a2}", "a1 " * 2500 + "+"], "error: dangling sign in element literal 'a1 a1"),
+     (["reduce", "--graph", "{a2}", "a1 " * 2500 + "+ 2 *"], "error: coefficient without a word in 'a1 a1")],
+    ids=["scalar-literal", "zmod-spec", "group-spec", "edge-id", "generator", "vertex-id", "dangling-sign",
+         "bare-coefficient"],
+)
+def test_a_long_input_is_quoted_in_a_short_line(capsys, a2_file, argv, quoted):
+    code, out, err = run(capsys, *[arg.format(a2=a2_file) for arg in argv])
+    assert code == 2 and out == ""
+    assert err.startswith(quoted) and "characters)" in err
+    assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
+
+
 def test_a_program_error_is_not_reported_as_an_input_error(monkeypatch, a2_file):
     def broken(graph):
         raise ValueError("a bug, not an input error")

@@ -27,10 +27,8 @@ from sepgraph.expectation import (
 from sepgraph.graphs import (
     Edge,
     GraphError,
-    GraphPath,
     SeparatedGraph,
     SignedEdge,
-    forward_path,
     skew_product,
 )
 from sepgraph.groups import CyclicGroup, free_labeling, translation_action
@@ -226,49 +224,54 @@ def chain_graph():
     )
 
 
+def forward(*edge_ids):
+    """The forward path along the given edges, as a word."""
+    return NormalWord.of_steps(tuple(map(SignedEdge, edge_ids)))
+
+
 def test_n_mu_of_empty_path_is_one():
     graph = chain_graph()
-    assert n_mu(graph, GraphPath("u")) == 1
+    assert n_mu(graph, NormalWord.of_vertex("u")) == 1
 
 
 def test_n_mu_multiplies_inverse_out_degrees():
     graph = chain_graph()
-    assert n_mu(graph, forward_path(graph, ["e1", "f2"])) == Fraction(1, 6)
+    assert n_mu(graph, forward("e1", "f2")) == Fraction(1, 6)
 
 
 def test_phi_ordinary_on_equal_paths():
     graph = chain_graph()
     ctx = LeavittContext(graph)
-    mu = forward_path(graph, ["e1", "f2"])
+    mu = forward("e1", "f2")
     assert phi_ordinary(ctx, mu, mu) == vertex_element(ctx, "u").scale(Fraction(1, 6))
 
 
 def test_phi_ordinary_on_distinct_paths_is_zero():
     graph = chain_graph()
     ctx = LeavittContext(graph)
-    mu = forward_path(graph, ["e1", "f2"])
-    nu = forward_path(graph, ["e2", "f2"])
+    mu = forward("e1", "f2")
+    nu = forward("e2", "f2")
     assert phi_ordinary(ctx, mu, nu).is_zero
 
 
 def test_phi_ordinary_on_empty_paths():
     graph = chain_graph()
     ctx = LeavittContext(graph)
-    empty = GraphPath("w")
+    empty = NormalWord.of_vertex("w")
     assert phi_ordinary(ctx, empty, empty) == vertex_element(ctx, "w")
 
 
 def test_phi_ordinary_rejects_separated_graphs():
     ctx = LeavittContext(fig5())
     with pytest.raises(Exception, match="trivially separated"):
-        phi_ordinary(ctx, GraphPath("v"), GraphPath("v"))
+        phi_ordinary(ctx, NormalWord.of_vertex("v"), NormalWord.of_vertex("v"))
 
 
 def test_phi_ordinary_rejects_range_mismatch():
     graph = chain_graph()
     ctx = LeavittContext(graph)
     with pytest.raises(GraphError):
-        phi_ordinary(ctx, forward_path(graph, ["e1"]), GraphPath("u"))
+        phi_ordinary(ctx, forward("e1"), NormalWord.of_vertex("u"))
 
 
 def test_expectation_agrees_with_oracle_on_random_graphs():
@@ -299,7 +302,7 @@ def test_expectation_agrees_with_oracle_inside_one_cell():
     ctx = LeavittContext(graph)
     sub = cell_subgraph(graph, "v", 0)
     sub_ctx = LeavittContext(sub)
-    mu = forward_path(sub, ["x1", "x2"])
+    mu = forward("x1", "x2")
     steps = mu.steps + tuple(s.reverse() for s in reversed(mu.steps))
     inside = expect(reduce_word(ctx, steps))
     oracle = phi_ordinary(sub_ctx, mu, mu)

@@ -6,21 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepgraph import graphs
-from sepgraph.algebra import LeavittContext
+from sepgraph.algebra import LeavittContext, NormalWord
+from sepgraph.crossed import skew_path
 from sepgraph.graphs import (
     Edge,
     GraphError,
     GraphMorphism,
-    GraphPath,
     SeparatedGraph,
     SignedEdge,
     check_isomorphism,
-    check_path,
-    forward_path,
     graph_from_json,
     graph_to_json,
     quotient_graph,
-    skew_path,
     skew_product,
     validate,
 )
@@ -31,7 +28,9 @@ from sepgraph.groups import (
     cayley_separated_graph,
     translation_action,
 )
-from sepgraph.sampling import random_separated_graph
+from sepgraph.sampling import random_labeling, random_normal_word, random_separated_graph
+
+from nonabelian import S3
 
 
 def cuntz_graph(n):
@@ -114,14 +113,19 @@ def test_a_passed_validation_is_kept_and_a_failed_one_is_not(monkeypatch):
 # -- paths ---------------------------------------------------------------------
 
 
+def forward(*edge_ids):
+    """The forward path along the given edges, as a word."""
+    return NormalWord.of_steps(tuple(map(SignedEdge, edge_ids)))
+
+
 def test_path_source_and_range():
-    path = forward_path(TWO_CYCLE, ["a", "b"])
+    path = forward("a", "b")
     assert path.source(TWO_CYCLE) == "v"
     assert path.range(TWO_CYCLE) == "v"
 
 
 def test_empty_path_is_its_vertex():
-    path = GraphPath("v")
+    path = NormalWord.of_vertex("v")
     assert path.source(TWO_CYCLE) == path.range(TWO_CYCLE) == "v"
 
 
@@ -181,9 +185,21 @@ def test_cell_of_on_unvalidated_graphs():
             graph.cell_of(eid)
 
 
+def test_quote_cuts_a_string_only_past_the_limit():
+    whole = "x" * graphs.QUOTE_LIMIT
+    assert graphs.quote(whole) == repr(whole)
+    assert graphs.quote(whole + "y") == f"{whole!r}... ({len(whole) + 1:,} characters)"
+    assert graphs.quote(["y" * 100]) == repr(["y" * 100])
+
+
 def test_malformed_path_raises():
-    with pytest.raises(GraphError):
-        check_path(TWO_CYCLE, GraphPath("v", (SignedEdge("a"), SignedEdge("a"))))
+    skew, z3 = z3_two_cycle_skew()
+    with pytest.raises(GraphError, match="malformed path"):
+        skew_path(skew, forward("a", "a"), z3.element(0))
+    with pytest.raises(GraphError, match="unknown edge id 'c'"):
+        skew_path(skew, NormalWord.of_steps((SignedEdge("c", True),)), z3.element(0))
+    with pytest.raises(GraphError, match="unknown vertex id 'u'"):
+        skew_path(skew, NormalWord.of_vertex("u"), z3.element(0))
 
 
 # -- skew products ---------------------------------------------------------------
@@ -247,38 +263,49 @@ def z3_two_cycle_skew():
 
 def test_skew_path_empty():
     skew, z3 = z3_two_cycle_skew()
-    lifted = skew_path(skew, GraphPath("v"), z3.element(2))
-    assert lifted.base == "v@2" and lifted.steps == ()
+    lifted = skew_path(skew, NormalWord.of_vertex("v"), z3.element(2))
+    assert lifted == NormalWord.of_vertex("v@2")
 
 
 def test_skew_path_single_edge():
     skew, z3 = z3_two_cycle_skew()
-    lifted = skew_path(skew, forward_path(TWO_CYCLE, ["a"]), z3.element(1))
+    lifted = skew_path(skew, forward("a"), z3.element(1))
     assert [s.edge for s in lifted.steps] == ["a@1"]
 
 
 def test_skew_path_two_steps_twists_by_label():
     skew, z3 = z3_two_cycle_skew()
-    lifted = skew_path(skew, forward_path(TWO_CYCLE, ["a", "b"]), z3.element(0))
+    lifted = skew_path(skew, forward("a", "b"), z3.element(0))
     assert [s.edge for s in lifted.steps] == ["a@0", "b@1"]
 
 
 def test_skew_path_respects_concatenation():
     skew, z3 = z3_two_cycle_skew()
-    mu = forward_path(TWO_CYCLE, ["a"])
-    nu = forward_path(TWO_CYCLE, ["b", "a"])
+    mu = forward("a")
+    nu = forward("b", "a")
     g = z3.element(2)
-    whole = skew_path(skew, GraphPath(mu.base, mu.steps + nu.steps), g)
+    whole = skew_path(skew, NormalWord.of_steps(mu.steps + nu.steps), g)
     first = skew_path(skew, mu, g)
     second = skew_path(skew, nu, g * skew.labeling.of_word(mu.steps))
     assert whole.steps == first.steps + second.steps
 
 
-def test_skew_path_rejects_star_steps():
-    skew, z3 = z3_two_cycle_skew()
-    path = GraphPath("w", (SignedEdge("a", True),))
-    with pytest.raises(GraphError, match="forward"):
-        skew_path(skew, path, z3.element(0))
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_skew_path_of_the_adjoint_is_the_adjoint_of_the_lift(seed):
+    """Star letters lift backwards: the adjoint of w, lifted from the fiber
+    where the lift of w ends, is the lift of w read backwards."""
+    rng = random.Random(seed)
+    graph = random_separated_graph(rng, max_vertices=3, max_edges=6)
+    group = S3() if seed % 2 else CyclicGroup(3)
+    skew = skew_product(graph, random_labeling(rng, graph, group))
+    word = random_normal_word(rng, LeavittContext(graph), max_len=6, min_len=0)
+    g = rng.choice(group.elements())
+    end = g * skew.labeling.of_word(word.steps)
+    lifted = skew_path(skew, word, g)
+    assert lifted.source(skew.graph) == skew.vertex_name[(word.source(graph), g)]
+    assert lifted.range(skew.graph) == skew.vertex_name[(word.range(graph), end)]
+    assert skew_path(skew, word.adjoint(), end) == lifted.adjoint()
 
 
 # -- quotients ---------------------------------------------------------------------

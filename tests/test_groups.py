@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepgraph import groups
+from sepgraph.algebra import NormalWord
 from sepgraph.graphs import (
     GraphMorphism,
-    GraphPath,
     SeparatedGraph,
     SignedEdge,
     check_isomorphism,
@@ -193,14 +193,27 @@ GRAPH = SeparatedGraph(
 )
 
 
+@pytest.mark.parametrize(
+    "group, literal",
+    [(FreeGroup(("a",)), "x" * 5000),
+     (ProductGroup((Z3, Z3)), "x" * 5000),
+     (ProductGroup((Z3, Z3)), "(" + "0," * 3000 + "0)")],
+    ids=["free-generator", "product-parentheses", "product-components"],
+)
+def test_a_long_literal_is_quoted_in_a_short_message(group, literal):
+    with pytest.raises(GroupError, match=r"\.\.\. \([\d,]+ characters\)") as info:
+        group.from_literal(literal)
+    assert len(str(info.value)) < 200
+
+
 def test_label_of_empty_path_is_identity():
     labeling = Labeling(Z3, {"e": Z3.element(1), "f": Z3.element(2)})
-    assert labeling.of_word(GraphPath("v").steps).is_identity
+    assert labeling.of_word(NormalWord.of_vertex("v").steps).is_identity
 
 
 def test_label_of_edge_then_reverse_is_identity():
     labeling = Labeling(Z3, {"e": Z3.element(1), "f": Z3.element(2)})
-    path = GraphPath("v", (SignedEdge("e"), SignedEdge("e", True)))
+    path = NormalWord.of_steps((SignedEdge("e"), SignedEdge("e", True)))
     assert labeling.of_word(path.steps).is_identity
 
 

@@ -9,12 +9,27 @@ import pytest
 from sepgraph.algebra import LeavittContext, NormalWord, is_normal
 from sepgraph.graphs import SeparatedGraph
 from sepgraph.groups import bouquet_graph
-from sepgraph.sampling import random_normal_word, random_separated_graph
+from sepgraph.sampling import (
+    random_composable_word,
+    random_forward_path,
+    random_normal_word,
+    random_separated_graph,
+)
 
 # The first 40 draws of random_normal_word(random.Random(2024), ctx, max_len=6)
 # per graph, as word literals.  Seeded runs (selftest, verify-crossed-iso, the
 # property suites) depend on this stream, so it must not change.
 DRAWS = Path(__file__).resolve().parent / "golden" / "normal_word_draws.json"
+# The same for the walks random_composable_word and random_forward_path, as the
+# literals their words would have (``@v`` for the empty path at v).
+WALKS = DRAWS.with_name("walk_draws.json")
+
+
+def walk_literal(graph, kind, rng):
+    if kind == "composable":
+        return " ".join(s.literal() for s in random_composable_word(rng, graph, max_len=6))
+    path = random_forward_path(rng, graph, max_len=6)
+    return " ".join(s.literal() for s in path.steps) or f"@{path.source(graph)}"
 
 
 def pinned_graphs():
@@ -39,6 +54,15 @@ def test_normal_word_stream_is_pinned(name):
     rng = random.Random(2024)
     draws = [random_normal_word(rng, ctx, max_len=6).literal() for _ in range(40)]
     assert draws == json.loads(DRAWS.read_text())[name]
+
+
+@pytest.mark.parametrize("kind", ["composable", "forward"])
+@pytest.mark.parametrize("name", ["fig5", "two_cells", "random"])
+def test_walk_stream_is_pinned(name, kind):
+    graph = pinned_graphs()[name]
+    rng = random.Random(2024)
+    draws = [walk_literal(graph, kind, rng) for _ in range(40)]
+    assert draws == json.loads(WALKS.read_text())[kind][name]
 
 
 def test_length_zero_draw_is_a_vertex_word():
