@@ -1,10 +1,11 @@
 """Command-line surface: file parsing, canonical output, verification reports.
 
-Exit codes: 0 on success, 1 when a verification fails (an invalid graph, a
-failed isomorphism report, a failed self test) or when the reader of stdout
-closes the pipe early (``| head``), 2 on an input error.  Output
-is canonical: JSON with sorted keys, elements in the sorted literal syntax,
-so identical inputs and seeds give byte-identical output.
+Each ``cmd_*`` handler returns ``(output, exit code)``; :func:`main` alone
+writes it: a string (elements in the sorted literal syntax) as it is, any other
+value as JSON with sorted keys, so identical inputs and seeds give
+byte-identical output.  Exit codes: 0 on success, 1 when a verification fails
+(an invalid graph, a failed isomorphism report, a failed self test) or when
+the reader of stdout closes the pipe early (``| head``), 2 on an input error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .algebra import (
 )
 from .expectation import expect
 from .graphs import (
+    QUOTE_LIMIT,
     GraphError,
     check_json,
     graph_from_json,
@@ -72,12 +74,10 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path, or bytes not UTF-8
+        if isinstance(exc, OSError) and len(path) > QUOTE_LIMIT:  # its text would repeat the whole path
+            path, exc = quote(path), exc.strerror
         raise InputError(f"cannot read {path}: {exc}") from None
     return _decode_json(text, path)
-
-
-def _dump(data) -> None:
-    print(json.dumps(data, sort_keys=True, indent=2))
 
 
 def _load_group(spec: str):
@@ -103,8 +103,16 @@ def _load_group(spec: str):
     raise InputError(f"unrecognized group spec {quote(spec)}")
 
 
+def _graph(args):
+    return graph_from_json(_load_json(args.graph))
+
+
+def _labeling(args):
+    return labeling_from_json(_load_group(args.group), _load_json(args.label))
+
+
 def _context(args) -> LeavittContext:
-    graph = graph_from_json(_load_json(args.graph))
+    graph = _graph(args)
     choice = None
     if getattr(args, "ex_choice", None):
         raw = _load_json(args.ex_choice)
@@ -113,106 +121,84 @@ def _context(args) -> LeavittContext:
     return LeavittContext(graph, choice)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     data = _load_json(args.graph)
     if isinstance(data, dict):  # missing vertices or edges read as none
         data = {"vertices": [], "edges": [], **data}
     problems = validate(read_graph_json(data))
-    _dump({"valid": not problems, "violations": problems})
-    return 0 if not problems else 1
+    return {"valid": not problems, "violations": problems}, 0 if not problems else 1
 
 
-def cmd_skew(args) -> int:
-    graph = graph_from_json(_load_json(args.graph))
-    group = _load_group(args.group)
-    labeling = labeling_from_json(group, _load_json(args.label))
-    skew = skew_product(graph, labeling)
-    _dump(
-        {
-            "graph": graph_to_json(skew.graph),
-            "vertex_map": {name: [pair[0], str(pair[1])] for name, pair in skew.vertex_pair.items()},
-            "edge_map": {name: [pair[0], str(pair[1])] for name, pair in skew.edge_pair.items()},
-        }
-    )
-    return 0
+def cmd_skew(args):
+    graph = _graph(args)
+    skew = skew_product(graph, _labeling(args))
+    return {
+        "graph": graph_to_json(skew.graph),
+        "vertex_map": {name: [pair[0], str(pair[1])] for name, pair in skew.vertex_pair.items()},
+        "edge_map": {name: [pair[0], str(pair[1])] for name, pair in skew.edge_pair.items()},
+    }, 0
 
 
-def cmd_quotient(args) -> int:
-    graph = graph_from_json(_load_json(args.graph))
+def cmd_quotient(args):
+    graph = _graph(args)
     action = action_from_json(_load_json(args.action))
     quotient = quotient_graph(graph, action)
-    _dump(
-        {
-            "graph": graph_to_json(quotient.graph),
-            "vertex_class": quotient.vertex_class,
-            "edge_class": quotient.edge_class,
-        }
-    )
-    return 0
+    return {
+        "graph": graph_to_json(quotient.graph),
+        "vertex_class": quotient.vertex_class,
+        "edge_class": quotient.edge_class,
+    }, 0
 
 
-def cmd_gross_tucker(args) -> int:
-    graph = graph_from_json(_load_json(args.graph))
+def cmd_gross_tucker(args):
+    graph = _graph(args)
     action = action_from_json(_load_json(args.action))
     result = gross_tucker(graph, action)
-    _dump(
-        {
-            "quotient": graph_to_json(result.quotient),
-            "label": labeling_to_json(result.labeling),
-            "iso": {"vertices": result.iso.vmap, "edges": result.iso.emap},
-        }
-    )
-    return 0
+    return {
+        "quotient": graph_to_json(result.quotient),
+        "label": labeling_to_json(result.labeling),
+        "iso": {"vertices": result.iso.vmap, "edges": result.iso.emap},
+    }, 0
 
 
-def cmd_cayley(args) -> int:
+def cmd_cayley(args):
     group = _load_group(args.group)
     parts = [p.strip() for p in split_top_level(args.generators)]
     generators = [group.from_literal(p) for p in parts if p]
     if not generators:
         raise InputError("cayley needs at least one generator")
     skew = cayley_separated_graph(group, generators)
-    _dump(graph_to_json(skew.graph))
-    return 0
+    return graph_to_json(skew.graph), 0
 
 
-def cmd_reduce(args) -> int:
-    ctx = _context(args)
-    print(element_literal(parse_element(ctx, args.element)))
-    return 0
+def cmd_reduce(args):
+    return element_literal(parse_element(_context(args), args.element)), 0
 
 
-def cmd_mul(args) -> int:
+def cmd_mul(args):
     ctx = _context(args)
     x = parse_element(ctx, args.left)
     y = parse_element(ctx, args.right)
-    print(element_literal(x * y))
-    return 0
+    return element_literal(x * y), 0
 
 
-def cmd_star(args) -> int:
+def cmd_star(args):
+    return element_literal(parse_element(_context(args), args.element).star()), 0
+
+
+def cmd_expect(args):
+    return element_literal(expect(parse_element(_context(args), args.element))), 0
+
+
+def cmd_grade(args):
     ctx = _context(args)
-    print(element_literal(parse_element(ctx, args.element).star()))
-    return 0
-
-
-def cmd_expect(args) -> int:
-    ctx = _context(args)
-    print(element_literal(expect(parse_element(ctx, args.element))))
-    return 0
-
-
-def cmd_grade(args) -> int:
-    ctx = _context(args)
-    group = _load_group(args.group)
-    labeling = labeling_from_json(group, _load_json(args.label))
+    labeling = _labeling(args)
     x = parse_element(ctx, args.element)
     parts = decompose(x, labeling)
-    _dump({str(g): element_literal(part) for g, part in parts.items()})
-    return 0
+    return {str(g): element_literal(part) for g, part in parts.items()}, 0
 
 
-def cmd_act(args) -> int:
+def cmd_act(args):
     ctx = _context(args)
     action = action_from_json(_load_json(args.action))
     g = action.group.from_literal(args.g)
@@ -221,27 +207,22 @@ def cmd_act(args) -> int:
     if bad:
         raise InputError(f"entry for {g} is not an automorphism: " + "; ".join(bad))
     x = parse_element(ctx, args.element)
-    print(element_literal(induced_automorphism(action, g, x)))
-    return 0
+    return element_literal(induced_automorphism(action, g, x)), 0
 
 
-def cmd_verify_crossed_iso(args) -> int:
-    graph = graph_from_json(_load_json(args.graph))
-    group = _load_group(args.group)
-    labeling = labeling_from_json(group, _load_json(args.label))
+def cmd_verify_crossed_iso(args):
+    graph = _graph(args)
+    labeling = _labeling(args)
     if args.samples < 0:
         raise InputError(f"--samples must be at least 0, got {args.samples}")
     report = verify_iso(graph, labeling, sample_count=args.samples, seed=args.seed)
-    print(report.summary())
-    return 0 if report.ok else 1
+    return report.summary(), 0 if report.ok else 1
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     from .selftest import DEFAULT_SEED, run_all
     results = run_all(DEFAULT_SEED if args.seed is None else args.seed)
-    for result in results:
-        print(result.line())
-    return 0 if all(result.ok for result in results) else 1
+    return "\n".join(result.line() for result in results), 0 if all(result.ok for result in results) else 1
 
 
 # name: (handler, help line, arguments in parser order; a bracketed flag is optional)
@@ -273,13 +254,21 @@ COMMANDS = {
     "selftest": (cmd_selftest, "run the acceptance criteria", "[--seed]"),
 }
 
+
+def _int(text: str) -> int:  # argparse's own message for int would repeat a long value whole
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}") from None
+
+
 # the spec of every argument that has one, shared by each command that takes it
 ARGUMENTS = {
     "--graph": {"help": "path to a graph JSON file"},
     "--ex-choice": {"help": "JSON file mapping vertex -> [chosen edge per cell]"},
     "--generators": {"help": "comma-separated element literals"},
-    "--samples": {"type": int, "default": 100},
-    "--seed": {"type": int},
+    "--samples": {"type": _int, "default": 100},
+    "--seed": {"type": _int},
     "g": {"help": "group element literal"},
 }
 
@@ -313,7 +302,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code (see the module docstring).
+    """Run one command, write its output and return its exit code (see the module docstring).
 
     May be called repeatedly in one process: each call builds the parser for
     its subcommand alone, and nothing outlives a call.  An argparse usage
@@ -323,8 +312,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        code = args.fn(args)
-        sys.stdout.flush()  # a closed pipe surfaces here when the output was buffered
+        output, code = args.fn(args)
+        text = output if isinstance(output, str) else json.dumps(output, sort_keys=True, indent=2)
+        print(text, flush=True)  # a closed pipe surfaces here when the output was buffered
         return code
     except BrokenPipeError:
         # stdout is gone: point it at devnull so the interpreter's final flush

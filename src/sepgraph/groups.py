@@ -179,8 +179,8 @@ class FreeGroup(Group):
             if gen not in self.generators:
                 raise GroupError(f"unknown generator {quote(gen)}")
             _require_int(exp, "exponent")
-            if exp == 0:
-                continue
+            if len(letters) + abs(exp) > MAX_ORDER:  # checked before the letters are built
+                raise GroupError(f"free word of more than {MAX_ORDER} letters at {quote(f'{gen}^{exp}')}")
             sign = 1 if exp > 0 else -1
             letters.extend([(gen, sign)] * abs(exp))
         return self._mul((), tuple(letters))

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from sepgraph import cli
+from sepgraph import cli, selftest
 from sepgraph.cli import main
-from sepgraph.groups import MAX_NESTING
+from sepgraph.crossed import IsoReport
+from sepgraph.groups import MAX_NESTING, MAX_ORDER
+from sepgraph.selftest import CriterionResult
 
 A2 = {
     "vertices": ["v"],
@@ -302,6 +304,37 @@ def test_verify_crossed_iso(capsys, a2_file, tmp_path):
     assert out.startswith("PASS")
 
 
+def test_a_failed_crossed_iso_report_is_printed_and_exits_1(capsys, monkeypatch, a2_file, tmp_path):
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"a1": 1, "a2": 1}))
+    report = IsoReport(3, 5, ["a1 maps to 0", "a2* is not star preserved"])
+    monkeypatch.setattr(cli, "verify_iso", lambda *args, **kwargs: report)
+    code, out, err = run(
+        capsys, "verify-crossed-iso", "--graph", a2_file, "--group", "zmod:2", "--label", str(label),
+        "--seed", "1",
+    )
+    assert (code, out, err) == (1, report.summary() + "\n", "")
+
+
+SELFTEST_RESULTS = {
+    "all-pass": [CriterionResult(1, "one", True, 0.25, 1.0), CriterionResult(2, "two", True, 0.5, 1.0)],
+    "failed-and-over-budget": [
+        CriterionResult(1, "one", False, 0.25, 1.0, "a counterexample"),
+        CriterionResult(2, "two", True, 3.0, 1.0),
+        CriterionResult(3, "three", True, 0.5, 1.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("outcome", SELFTEST_RESULTS)
+def test_selftest_prints_one_line_per_criterion_and_exits_1_on_any_miss(capsys, monkeypatch, outcome):
+    results = SELFTEST_RESULTS[outcome]
+    monkeypatch.setattr(selftest, "run_all", lambda seed: results)
+    code, out, err = run(capsys, "selftest", "--seed", "3")
+    assert out == "".join(result.line() + "\n" for result in results) and err == ""
+    assert code == (0 if outcome == "all-pass" else 1)
+
+
 def test_input_errors_exit_2(capsys, a2_file):
     code, _, err = run(capsys, "reduce", "--graph", a2_file, "nonsense_edge")
     assert code == 2
@@ -423,14 +456,48 @@ LONG = "x" * 5000
      (["cayley", "--group", "zmod:3", "--generators", LONG], "error: 'xx"),
      (["reduce", "--graph", "{a2}", f"@{LONG}"], "error: unknown vertex id 'xx"),
      (["reduce", "--graph", "{a2}", "a1 " * 2500 + "+"], "error: dangling sign in element literal 'a1 a1"),
-     (["reduce", "--graph", "{a2}", "a1 " * 2500 + "+ 2 *"], "error: coefficient without a word in 'a1 a1")],
+     (["reduce", "--graph", "{a2}", "a1 " * 2500 + "+ 2 *"], "error: coefficient without a word in 'a1 a1"),
+     (["reduce", "--graph", LONG, "a1"], "error: cannot read 'xx"),
+     (["reduce", "--graph", "{a2}", "--ex-choice", LONG, "a1"], "error: cannot read 'xx"),
+     (["skew", "--graph", "{a2}", "--group", "zmod:2", "--label", LONG], "error: cannot read 'xx"),
+     (["quotient", "--graph", "{a2}", "--action", LONG], "error: cannot read 'xx")],
     ids=["scalar-literal", "zmod-spec", "group-spec", "edge-id", "generator", "vertex-id", "dangling-sign",
-         "bare-coefficient"],
+         "bare-coefficient", "graph-path", "ex-choice-path", "label-path", "action-path"],
 )
 def test_a_long_input_is_quoted_in_a_short_line(capsys, a2_file, argv, quoted):
     code, out, err = run(capsys, *[arg.format(a2=a2_file) for arg in argv])
     assert code == 2 and out == ""
     assert err.startswith(quoted) and "characters)" in err
+    assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_a_long_int_argument_is_quoted_in_a_short_message(capsys, a2_file, flag):
+    argv = ["verify-crossed-iso", "--graph", a2_file, "--label", "l.json", "--group", "z", flag, "9" * 5000]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"error: argument {flag}: invalid int value: '9999" in err and "(5,000 characters)" in err
+    assert len(err) < 400 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cayley", "grade", "act"])
+def test_a_free_exponent_past_the_letter_bound_exits_2(capsys, a2_file, tmp_path, command):
+    power = "x^" + "9" * 20
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"a1": power, "a2": "x"}))
+    action = tmp_path / "action.json"
+    table = {power: {"vertices": {}, "edges": {}}}
+    action.write_text(json.dumps({"group": {"type": "free", "generators": ["x"]}, "table": table}))
+    argv = {
+        "cayley": ["cayley", "--group", "free:x", "--generators", power],
+        "grade": ["grade", "--graph", a2_file, "--group", "free:x", "--label", str(label), "a1"],
+        "act": ["act", "--graph", a2_file, "--action", str(action), "1", "a1"],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"more than {MAX_ORDER} letters" in err
     assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
 
 

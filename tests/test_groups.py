@@ -64,6 +64,25 @@ def test_free_word_partial_cancellation():
     assert x * y == F2.element([("a", 2)])
 
 
+def test_a_free_word_past_max_order_letters_is_rejected():
+    with pytest.raises(GroupError, match=f"more than {groups.MAX_ORDER} letters"):
+        F2.parse(f"a^{groups.MAX_ORDER + 1}")
+
+
+@pytest.mark.parametrize(
+    "literal, ok",
+    [("a^5", True), ("a^-3.b^2", True), ("a^6", False), ("a^-6", False), ("a^3.b^-3", False),
+     ([("a", 3), ("a", -3)], False)],
+)
+def test_a_free_word_is_bounded_by_its_letters_before_it_is_built(monkeypatch, literal, ok):
+    monkeypatch.setattr(groups, "MAX_ORDER", 5)
+    if ok:
+        assert F2.from_literal(literal).value
+    else:
+        with pytest.raises(GroupError, match="more than 5 letters"):
+            F2.from_literal(literal)
+
+
 def test_mixed_groups_raise():
     with pytest.raises(GroupError):
         Z3.element(1) * CyclicGroup(4).element(1)
