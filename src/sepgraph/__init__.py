@@ -16,73 +16,12 @@ The package is organized around five layers:
   a labeling, the lift of base words to the skew product, the isomorphism on
   basis elements, and its verification for finite groups.
 
+The library is used through these submodules; the package itself exports
+nothing.
+
 Elements, words, groups, and the records of graphs, labelings and actions
 never change once built.  A context memoizes ``expect_cache``, N of each
 term's word, bounded at ``expectation.MEMO_ENTRIES`` words with the oldest
 dropped first, and ``compatible_with``; a graph memoizes its step table.
 All arithmetic is exact.
 """
-
-from .scalars import GaussianRational
-from .graphs import (
-    Edge,
-    GraphError,
-    GraphMorphism,
-    SeparatedGraph,
-    SignedEdge,
-    SkewProduct,
-    check_isomorphism,
-    graph_from_json,
-    graph_to_json,
-    quotient_graph,
-    skew_product,
-    validate,
-)
-from .groups import (
-    CyclicGroup,
-    FreeGroup,
-    GraphAction,
-    GroupElement,
-    GroupError,
-    IntegerGroup,
-    Labeling,
-    ProductGroup,
-    cayley_separated_graph,
-    check_action,
-    free_labeling,
-    gross_tucker,
-    is_free,
-    translation_action,
-)
-from .algebra import (
-    AlgebraElement,
-    AlgebraError,
-    LeavittContext,
-    NormalWord,
-    component,
-    decompose,
-    edge_element,
-    element_literal,
-    from_word,
-    induced_automorphism,
-    is_normal,
-    parse_element,
-    rebase,
-    reduce_word,
-    vertex_element,
-    word_degree,
-    zero,
-)
-from .expectation import beta_element, expect, n_mu, phi_ordinary
-from .crossed import (
-    CrossedElement,
-    CrossedWord,
-    crossed_mul,
-    crossed_star,
-    phi_map,
-    psi_on_generators,
-    skew_path,
-    verify_iso,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

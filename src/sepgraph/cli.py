@@ -50,7 +50,7 @@ from .groups import (
     labeling_to_json,
     split_top_level,
 )
-from .crossed import verify_iso
+from .crossed import MAX_SAMPLES, verify_iso
 from .scalars import ScalarError
 
 
@@ -215,6 +215,8 @@ def cmd_verify_crossed_iso(args):
     labeling = _labeling(args)
     if args.samples < 0:
         raise InputError(f"--samples must be at least 0, got {args.samples}")
+    if args.samples > MAX_SAMPLES:
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {quote(str(args.samples))}")
     report = verify_iso(graph, labeling, sample_count=args.samples, seed=args.seed)
     return report.summary(), 0 if report.ok else 1
 

@@ -40,6 +40,8 @@ from .graphs import GraphError, SignedEdge, SkewProduct, skew_product
 from .groups import GroupElement, GroupError, Labeling, translation_action
 from .sampling import random_normal_word
 
+MAX_SAMPLES = 10**5  # about 0.2 ms a sample: 20 s, inside the 30 s budget README states
+
 
 class CrossedWord(NamedTuple):
     word: NormalWord
@@ -71,12 +73,6 @@ class CrossedElement(LinearCombination):
 
     def _like(self, ctx: LeavittContext, terms: dict) -> "CrossedElement":
         return CrossedElement(ctx, self.labeling, terms)
-
-
-def crossed_element(
-    ctx: LeavittContext, labeling: Labeling, word: NormalWord, slot: GroupElement
-) -> CrossedElement:
-    return CrossedElement(ctx, labeling, {CrossedWord(word, slot): scalars.ONE})
 
 
 def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:

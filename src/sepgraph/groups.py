@@ -449,9 +449,6 @@ class GraphAction(NamedTuple):
         except KeyError:
             raise GroupError(f"action table has no entry for {g}") from None
 
-    def apply_vertex(self, g: GroupElement, v: str) -> str:
-        return self.morphism(g).vmap[v]
-
     def violations(self, graph: SeparatedGraph) -> list:
         return check_action(self, graph)
 

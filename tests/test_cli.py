@@ -7,7 +7,7 @@ import pytest
 
 from sepgraph import cli, selftest
 from sepgraph.cli import main
-from sepgraph.crossed import IsoReport
+from sepgraph.crossed import MAX_SAMPLES, IsoReport
 from sepgraph.groups import MAX_NESTING, MAX_ORDER
 from sepgraph.selftest import CriterionResult
 
@@ -382,7 +382,7 @@ def test_non_integer_json_group_values_exit_2(capsys, a2_file, tmp_path, label, 
         assert "'a1'" in err  # the edge whose label is bad
 
 
-@pytest.mark.parametrize("samples,code", [("-3", 2), ("0", 0)])
+@pytest.mark.parametrize("samples,code", [("-3", 2), ("0", 0), (str(MAX_SAMPLES + 1), 2), ("9" * 40, 2)])
 def test_verify_samples_must_not_be_negative(capsys, a2_file, tmp_path, samples, code):
     label = tmp_path / "label.json"
     label.write_text(json.dumps({"a1": 1, "a2": 1}))
@@ -390,7 +390,7 @@ def test_verify_samples_must_not_be_negative(capsys, a2_file, tmp_path, samples,
     status, out, err = run(capsys, *argv, "--samples", samples, "--seed", "1")
     assert status == code
     if code == 2:
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and len(err) < 300
     else:
         assert out.startswith("PASS") and "0 sampled identities" in out
 
@@ -770,6 +770,7 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     # records and groups are written without dataclasses, which loads inspect, ast and dis
     for imports, module in [
+        ("sepgraph", "sepgraph.graphs"),
         ("sepgraph.cli", "sepgraph.selftest"),
         ("sepgraph.cli, sepgraph.selftest", "dataclasses"),
     ]:

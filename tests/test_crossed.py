@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sepgraph import algebra, crossed
+from sepgraph import algebra, crossed, scalars
 from sepgraph.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -18,7 +18,6 @@ from sepgraph.crossed import (
     CrossedElement,
     CrossedWord,
     compatible_ex_choice,
-    crossed_element,
     crossed_mul,
     crossed_star,
     phi_inverse_word,
@@ -30,7 +29,7 @@ from sepgraph.crossed import (
     verify_iso,
 )
 from sepgraph.graphs import SeparatedGraph, SignedEdge, skew_product
-from sepgraph.groups import CyclicGroup, GroupError, Labeling, ProductGroup
+from sepgraph.groups import CyclicGroup, GroupElement, GroupError, Labeling, ProductGroup
 from sepgraph.sampling import random_normal_word
 
 from nonabelian import S3
@@ -44,6 +43,12 @@ FOUR = SeparatedGraph(
     [("x1", "v", "v"), ("x2", "v", "v"), ("y1", "v", "v"), ("y2", "v", "v")],
     {"v": [["x1", "x2"], ["y1", "y2"]]},
 )
+
+
+def crossed_element(
+    ctx: LeavittContext, labeling: Labeling, word: NormalWord, slot: GroupElement
+) -> CrossedElement:
+    return CrossedElement(ctx, labeling, {CrossedWord(word, slot): scalars.ONE})
 
 
 def loop_setup(n=2):

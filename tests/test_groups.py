@@ -392,7 +392,7 @@ def test_emn_admits_no_free_action():
 def test_orbits_have_group_size_under_free_action():
     graph, action = swap_action()
     for v in graph.vertices:
-        orbit = {action.apply_vertex(g, v) for g in action.group.elements()}
+        orbit = {action.morphism(g).vmap[v] for g in action.group.elements()}
         assert len(orbit) == action.group.order
 
 
