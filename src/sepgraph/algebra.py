@@ -93,7 +93,7 @@ class NormalWord(_Word):
 
 
 class LeavittContext:
-    """A validated graph plus a chosen edge ``e_X`` per separation cell.
+    """A separated graph plus a chosen edge ``e_X`` per separation cell.
 
     The choice parameterizes the basis; the default is the lexicographically
     smallest edge id in each cell.  The graph's step table is shared by every
@@ -106,7 +106,6 @@ class LeavittContext:
     __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache", "compatible_with")
 
     def __init__(self, graph: SeparatedGraph, ex_choice: Optional[dict] = None):
-        graph.require_valid()
         self.graph = graph
         choice = dict(default_ex_choice(graph))
         if ex_choice:

@@ -50,7 +50,7 @@ from .groups import (
     labeling_to_json,
     split_top_level,
 )
-from .crossed import MAX_SAMPLES, verify_iso
+from .crossed import MAX_GROUP_ORDER, MAX_SAMPLES, verify_iso
 from .scalars import ScalarError
 
 
@@ -125,7 +125,7 @@ def cmd_validate(args):
     data = _load_json(args.graph)
     if isinstance(data, dict):  # missing vertices or edges read as none
         data = {"vertices": [], "edges": [], **data}
-    problems = validate(read_graph_json(data))
+    problems = validate(*read_graph_json(data))
     return {"valid": not problems, "violations": problems}, 0 if not problems else 1
 
 
@@ -213,10 +213,14 @@ def cmd_act(args):
 def cmd_verify_crossed_iso(args):
     graph = _graph(args)
     labeling = _labeling(args)
+    got = str(args.samples)
     if args.samples < 0:
-        raise InputError(f"--samples must be at least 0, got {args.samples}")
+        got = got if len(got) <= QUOTE_LIMIT else quote(got)
+        raise InputError(f"--samples must be at least 0, got {got}")
     if args.samples > MAX_SAMPLES:
-        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {quote(str(args.samples))}")
+        raise InputError(f"--samples must be at most {MAX_SAMPLES}, got {quote(got)}")
+    if labeling.group.is_finite and labeling.group.order > MAX_GROUP_ORDER:  # before anything is built
+        raise InputError(f"verify-crossed-iso takes a group of at most {MAX_GROUP_ORDER} elements")
     report = verify_iso(graph, labeling, sample_count=args.samples, seed=args.seed)
     return report.summary(), 0 if report.ok else 1
 

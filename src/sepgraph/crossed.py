@@ -41,6 +41,9 @@ from .groups import GroupElement, GroupError, Labeling, translation_action
 from .sampling import random_normal_word
 
 MAX_SAMPLES = 10**5  # about 0.2 ms a sample: 20 s, inside the 30 s budget README states
+# the largest group order verify-crossed-iso takes: its fixed part grows about as the
+# square of the order, and at 1,000 a run of MAX_SAMPLES samples stays inside the same budget
+MAX_GROUP_ORDER = 1000
 
 
 class CrossedWord(NamedTuple):

@@ -5,6 +5,8 @@ A separated graph is a finite directed graph together with, at each vertex, an
 ordered partition of the outgoing edges into nonempty cells.  The cell order
 and the edge order inside each cell are preserved from the input; downstream
 code relies on that stability to make representative choices deterministic.
+A :class:`SeparatedGraph` is checked when it is built, so every one is valid;
+:func:`validate` reports the problems of raw parts without building anything.
 """
 
 from __future__ import annotations
@@ -53,17 +55,16 @@ class _StepTable(dict):
 
 
 class SeparatedGraph:
-    """A finite directed graph with an ordered out-edge partition per vertex.
+    """A finite separated graph: a directed graph with an ordered partition of
+    the out-edges of each vertex into nonempty cells.
 
-    Construction never validates: :func:`validate` reports every broken
-    invariant, so loaders can reject bad files with a complete report.
-    Vertices missing from ``separation`` get an empty cell list (the canonical
-    representation for sinks).
+    Construction validates: parts that break an invariant raise a
+    :class:`GraphError` listing every problem :func:`validate` finds, so every
+    object is a separated graph.  Vertices missing from ``separation`` get an
+    empty cell list (the canonical representation for sinks).
     """
 
-    __slots__ = (
-        "vertices", "edges", "separation", "_edge_by_id", "_out", "_steps", "_moves", "_valid"
-    )
+    __slots__ = ("vertices", "edges", "separation", "_edge_by_id", "_out", "_steps", "_moves")
 
     def __init__(
         self,
@@ -74,19 +75,17 @@ class SeparatedGraph:
         self.vertices = tuple(vertices)
         self.edges = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         sep = {v: tuple(tuple(cell) for cell in cells) for v, cells in separation.items()}
+        problems = validate(self.vertices, self.edges, sep)
+        if problems:
+            raise GraphError("invalid separated graph: " + "; ".join(problems))
         for v in self.vertices:
             sep.setdefault(v, ())
         self.separation = sep
-        # first-wins indexes; validate() reports clashes from the raw data
-        self._edge_by_id = {}
-        for e in self.edges:
-            self._edge_by_id.setdefault(e.id, e)
+        self._edge_by_id = {e.id: e for e in self.edges}
         self._out = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.src in self._out:
-                self._out[e.src].append(e.id)
+            self._out[e.src].append(e.id)
         self._steps = self._moves = None  # built on first use, then shared by every context
-        self._valid = False  # set by the first require_valid() that passes
 
     # -- lookups -----------------------------------------------------------
 
@@ -106,32 +105,26 @@ class SeparatedGraph:
 
     def cells(self, v: str) -> tuple:
         self.require_vertex(v)
-        return self.separation.get(v, ())
+        return self.separation[v]
 
     def cell_of(self, edge_id: str) -> tuple:
         """The (vertex, cell index) of the partition cell containing the edge."""
-        entry = self.step_table().get(SignedEdge(edge_id))
-        if entry is None:
-            raise GraphError(f"edge {edge_id!r} lies in no separation cell")
-        return entry[2]
+        return self.step_table()[SignedEdge(edge_id)][2]
 
     def cell_edges(self, v: str, index: int) -> tuple:
         return self.cells(v)[index]
 
     def step_table(self) -> dict:
         """Signed edge -> (source, range, cell, cell edges) for both orientations
-        of every edge a separation cell names.  On an unvalidated graph the
-        first cell naming an edge wins, and an id missing from the edge list
-        has no ends (``None``)."""
+        of every edge."""
         if self._steps is None:
             self._steps = steps = _StepTable()
             for v, cells in self.separation.items():
                 for i, cell in enumerate(cells):
                     for eid in cell:
-                        e = self._edge_by_id.get(eid)
-                        src, dst = (e.src, e.dst) if e else (None, None)
-                        steps.setdefault(SignedEdge(eid), (src, dst, (v, i), cell))
-                        steps.setdefault(SignedEdge(eid, True), (dst, src, (v, i), cell))
+                        dst = self._edge_by_id[eid].dst
+                        steps[SignedEdge(eid)] = (v, dst, (v, i), cell)
+                        steps[SignedEdge(eid, True)] = (dst, v, (v, i), cell)
         return self._steps
 
     def moves(self, v: str) -> tuple:
@@ -141,29 +134,15 @@ class SeparatedGraph:
         if self._moves is None:
             into = {u: [] for u in self._out}
             for e in self.edges:
-                into.get(e.dst, []).append(SignedEdge(e.id, True))
+                into[e.dst].append(SignedEdge(e.id, True))
             self._moves = {u: (*map(SignedEdge, self._out[u]), *into[u]) for u in into}
         return self._moves[v]
 
     def source(self, step: SignedEdge) -> str:
-        e = self.edge(step.edge)
-        return e.dst if step.star else e.src
+        return self.step_table()[step][0]
 
     def range(self, step: SignedEdge) -> str:
-        e = self.edge(step.edge)
-        return e.src if step.star else e.dst
-
-    # -- validity ----------------------------------------------------------
-
-    def require_valid(self) -> None:
-        """Raise unless :func:`validate` finds nothing.  A passed check is kept,
-        like the step table; an invalid graph is checked again on every call."""
-        if self._valid:
-            return
-        problems = validate(self)
-        if problems:
-            raise GraphError("invalid separated graph: " + "; ".join(problems))
-        self._valid = True
+        return self.step_table()[step][1]
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -180,31 +159,29 @@ class SeparatedGraph:
         return f"SeparatedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def validate(graph: SeparatedGraph) -> list:
-    """Every broken separated-graph invariant, with the offending ids.
+def validate(vertices: Sequence[str], edges: Sequence[Edge], separation: Mapping) -> list:
+    """Every broken separated-graph invariant of the parts, with the offending ids.
 
-    Empty list iff the graph is valid; operations succeed exactly on valid
-    graphs.
+    Empty list iff :class:`SeparatedGraph` accepts the parts.
     """
     report = []
-    seen = set()
-    for v in graph.vertices:
-        if v in seen:
+    vertex_set = set()
+    for v in vertices:
+        if v in vertex_set:
             report.append(f"duplicate vertex id {v!r}")
-        seen.add(v)
-    vertex_set = set(graph.vertices)
-    seen = set()
-    for e in graph.edges:
-        if e.id in seen:
+        vertex_set.add(v)
+    by_id = {}
+    for e in edges:
+        if e.id in by_id:
             report.append(f"duplicate edge id {e.id!r}")
-        seen.add(e.id)
+        else:
+            by_id[e.id] = e
         if e.src not in vertex_set:
             report.append(f"edge {e.id!r} has unknown source {e.src!r}")
         if e.dst not in vertex_set:
             report.append(f"edge {e.id!r} has unknown range {e.dst!r}")
-    edge_ids = {e.id for e in graph.edges}
-    covered = {}
-    for v, cells in graph.separation.items():
+    covered = set()
+    for v, cells in separation.items():
         if v not in vertex_set:
             report.append(f"separation listed at unknown vertex {v!r}")
             continue
@@ -212,19 +189,18 @@ def validate(graph: SeparatedGraph) -> list:
             if not cell:
                 report.append(f"empty separation cell at vertex {v!r} (index {i})")
             for eid in cell:
-                if eid not in edge_ids:
+                if eid not in by_id:
                     report.append(f"separation cell at {v!r} names unknown edge {eid!r}")
                     continue
-                if graph.edge(eid).src != v:
+                if by_id[eid].src != v:
                     report.append(
-                        f"edge {eid!r} listed at {v!r} but its source is "
-                        f"{graph.edge(eid).src!r}"
+                        f"edge {eid!r} listed at {v!r} but its source is {by_id[eid].src!r}"
                     )
                 if eid in covered:
                     report.append(f"edge {eid!r} appears in more than one separation cell")
-                covered[eid] = (v, i)
-    for e in graph.edges:
-        if e.id not in covered and e.src in vertex_set and e.id in edge_ids:
+                covered.add(eid)
+    for e in edges:
+        if e.id not in covered and e.src in vertex_set:
             report.append(f"uncovered edge {e.id!r}: missing from every cell at {e.src!r}")
     return report
 
@@ -314,7 +290,6 @@ class SkewProduct(NamedTuple):
 
 def skew_product(graph: SeparatedGraph, labeling: "Labeling") -> SkewProduct:
     """The skew product of a separated graph by an edge labeling into a finite group."""
-    graph.require_valid()
     group = labeling.group
     if not group.is_finite:
         raise GraphError(f"unsupported group for skew products: {group} is not finite")
@@ -378,13 +353,12 @@ def _orbits(items: Sequence[str], maps: list) -> dict:
 
 def quotient_graph(graph: SeparatedGraph, action: "GraphAction") -> Quotient:
     """The orbit graph of an action, separation cells pushed to classes.  The
-    graph and the whole action table are checked first, once.
+    whole action table is checked first, once.
 
     Class ids are the lexicographically smallest orbit members.  Cells are
     read off at each class representative; duplicate cells (which arise when
     the action glues two cells at one vertex) are merged.
     """
-    graph.require_valid()
     problems = action.violations(graph)
     if problems:
         raise GraphError("action invariant violation: " + "; ".join(problems))
@@ -430,21 +404,20 @@ def graph_to_json(graph: SeparatedGraph) -> dict:
 
 def graph_from_json(data) -> SeparatedGraph:
     """Build a graph from its JSON form, rejecting anything invalid."""
-    graph = read_graph_json(data)
-    graph.require_valid()
-    return graph
+    return SeparatedGraph(*read_graph_json(data))
 
 
-def read_graph_json(data) -> SeparatedGraph:
-    """Build a graph from its JSON form, checking only the JSON types: ids are strings
-    and collections JSON lists, so that no string of vertices reads as its characters.
-    :func:`validate` reports every broken graph invariant of the result."""
+def read_graph_json(data) -> tuple:
+    """The (vertices, edges, separation) of a graph's JSON form, checking only the
+    JSON types: ids are strings and collections JSON lists, so that no string of
+    vertices reads as its characters.  :func:`validate` reports every broken
+    graph invariant of the parts."""
     edge = {"id": str, "src": str, "dst": str}
     check_json(data, {"vertices": [str], "edges": [edge]}, "malformed graph JSON", GraphError)
     separation = data.get("separation", {})
     check_json(separation, {str: [[str]]}, "malformed graph JSON.separation", GraphError)
     edges = [Edge(e["id"], e["src"], e["dst"]) for e in data["edges"]]
-    return SeparatedGraph(data["vertices"], edges, separation)
+    return data["vertices"], edges, separation
 
 
 # the most characters of an input string an error message quotes

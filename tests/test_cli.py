@@ -7,7 +7,7 @@ import pytest
 
 from sepgraph import cli, selftest
 from sepgraph.cli import main
-from sepgraph.crossed import MAX_SAMPLES, IsoReport
+from sepgraph.crossed import MAX_GROUP_ORDER, MAX_SAMPLES, IsoReport
 from sepgraph.groups import MAX_NESTING, MAX_ORDER
 from sepgraph.selftest import CriterionResult
 
@@ -382,7 +382,10 @@ def test_non_integer_json_group_values_exit_2(capsys, a2_file, tmp_path, label, 
         assert "'a1'" in err  # the edge whose label is bad
 
 
-@pytest.mark.parametrize("samples,code", [("-3", 2), ("0", 0), (str(MAX_SAMPLES + 1), 2), ("9" * 40, 2)])
+@pytest.mark.parametrize("samples,code", [
+    ("-3", 2), ("0", 0), (str(MAX_SAMPLES + 1), 2), ("9" * 40, 2),
+    pytest.param("-" + "9" * 4000, 2, id="minus-4000-nines"),
+])
 def test_verify_samples_must_not_be_negative(capsys, a2_file, tmp_path, samples, code):
     label = tmp_path / "label.json"
     label.write_text(json.dumps({"a1": 1, "a2": 1}))
@@ -393,6 +396,17 @@ def test_verify_samples_must_not_be_negative(capsys, a2_file, tmp_path, samples,
         assert out == "" and err.startswith("error:") and err.count("\n") == 1 and len(err) < 300
     else:
         assert out.startswith("PASS") and "0 sampled identities" in out
+
+
+def test_verify_refuses_a_group_past_the_order_cap(capsys, a2_file, tmp_path, monkeypatch):
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"a1": 1, "a2": 1}))
+    monkeypatch.setattr(cli, "verify_iso", None)  # the cap is checked before verify_iso runs
+    group = f"zmod:{MAX_GROUP_ORDER + 1}"
+    argv = ["verify-crossed-iso", "--graph", a2_file, "--group", group, "--label", str(label)]
+    assert run(capsys, *argv, "--samples", "0", "--seed", "1") == (
+        2, "", f"error: verify-crossed-iso takes a group of at most {MAX_GROUP_ORDER} elements\n"
+    )
 
 
 # (file name -> bytes, argv, what stderr must name): inputs that end in a ValueError from Python
@@ -502,7 +516,7 @@ def test_a_free_exponent_past_the_letter_bound_exits_2(capsys, a2_file, tmp_path
 
 
 def test_a_program_error_is_not_reported_as_an_input_error(monkeypatch, a2_file):
-    def broken(graph):
+    def broken(vertices, edges, separation):
         raise ValueError("a bug, not an input error")
 
     monkeypatch.setattr(cli, "validate", broken)

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,69 +46,108 @@ TWO_CYCLE = SeparatedGraph(
 
 # -- validation ---------------------------------------------------------------
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def assert_rejected(parts, problems):
+    """``validate`` finds exactly these problems in the parts, and building a
+    graph from them raises all of them, in the same order."""
+    assert validate(*parts) == problems
+    with pytest.raises(GraphError) as caught:
+        SeparatedGraph(*parts)
+    assert str(caught.value) == "invalid separated graph: " + "; ".join(problems)
+
+
+# invalid parts (vertices, edges, separation) -> every problem, in report order
+INVALID = {
+    "misplaced": (
+        (
+            ["v", "w"],
+            [Edge("a", "v", "w"), Edge("b", "v", "w"), Edge("c", "w", "v")],
+            {"v": [["a", "b"], ["x"]], "w": [["a"]]},
+        ),
+        [
+            "separation cell at 'v' names unknown edge 'x'",
+            "edge 'a' listed at 'w' but its source is 'v'",
+            "edge 'a' appears in more than one separation cell",
+            "uncovered edge 'c': missing from every cell at 'w'",
+        ],
+    ),
+    "duplicate ids": (
+        (["v", "v"], [Edge("a", "v", "v"), Edge("a", "u", "v")], {"v": [["a"]]}),
+        ["duplicate vertex id 'v'", "duplicate edge id 'a'", "edge 'a' has unknown source 'u'"],
+    ),
+    "golden": (
+        graphs.read_graph_json(json.loads((GOLDEN / "invalid.json").read_text())),
+        [
+            "duplicate vertex id 'v'",
+            "edge 'a' has unknown range 'x'",
+            "separation listed at unknown vertex 'u'",
+            "empty separation cell at vertex 'v' (index 1)",
+            "uncovered edge 'b': missing from every cell at 'v'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", INVALID)
+def test_construction_raises_the_whole_report_of_validate(name):
+    assert_rejected(*INVALID[name])
+
 
 def test_cuntz_graph_is_valid():
-    assert validate(cuntz_graph(4)) == []
+    graph = cuntz_graph(4)
+    assert validate(graph.vertices, graph.edges, graph.separation) == []
 
 
 def test_empty_graph_is_valid():
-    assert validate(SeparatedGraph([], [], {})) == []
+    assert validate([], [], {}) == []
+    assert SeparatedGraph([], [], {}).separation == {}
 
 
 def test_uncovered_edge_is_reported():
-    graph = SeparatedGraph(["v"], [("a", "v", "v"), ("b", "v", "v")], {"v": [["a"]]})
-    problems = validate(graph)
-    assert any("uncovered" in p and "'b'" in p for p in problems)
+    parts = (["v"], [Edge("a", "v", "v"), Edge("b", "v", "v")], {"v": [["a"]]})
+    assert_rejected(parts, ["uncovered edge 'b': missing from every cell at 'v'"])
 
 
 def test_overlapping_cells_are_reported():
-    graph = SeparatedGraph(["v"], [("a", "v", "v")], {"v": [["a"], ["a"]]})
-    assert any("more than one" in p for p in validate(graph))
+    parts = (["v"], [Edge("a", "v", "v")], {"v": [["a"], ["a"]]})
+    assert_rejected(parts, ["edge 'a' appears in more than one separation cell"])
 
 
 def test_foreign_edge_in_cell_is_reported():
-    graph = SeparatedGraph(
-        ["v", "w"], [("a", "v", "w")], {"v": [], "w": [["a"]]}
-    )
-    problems = validate(graph)
-    assert any("its source is" in p for p in problems)
+    parts = (["v", "w"], [Edge("a", "v", "w")], {"v": [], "w": [["a"]]})
+    assert_rejected(parts, ["edge 'a' listed at 'w' but its source is 'v'"])
 
 
 def test_sinks_get_empty_cell_lists():
-    graph = SeparatedGraph(["v", "w"], [("a", "v", "w")], {"v": [["a"]]})
-    assert graph.separation["w"] == ()
-    assert validate(graph) == []
+    parts = (["v", "w"], [Edge("a", "v", "w")], {"v": [["a"]]})
+    assert validate(*parts) == []
+    assert SeparatedGraph(*parts).separation == {"v": (("a",),), "w": ()}
 
 
 def test_operations_refuse_invalid_graphs():
-    broken = SeparatedGraph(["v"], [("a", "v", "v")], {"v": []})
-    with pytest.raises(GraphError):
-        broken.require_valid()
+    # no operation can meet an invalid graph: building one raises
+    with pytest.raises(GraphError, match="^invalid separated graph: uncovered edge 'a'"):
+        SeparatedGraph(["v"], [("a", "v", "v")], {"v": []})
 
 
-def test_a_passed_validation_is_kept_and_a_failed_one_is_not(monkeypatch):
+def test_a_graph_is_validated_once_when_it_is_built(monkeypatch):
     check = graphs.validate
     calls = []
 
-    def counting(graph):
-        calls.append(graph)
-        return check(graph)
+    def counting(vertices, edges, separation):
+        calls.append(vertices)
+        return check(vertices, edges, separation)
 
     monkeypatch.setattr(graphs, "validate", counting)
     graph = graph_from_json(graph_to_json(TWO_CYCLE))
-    graph.require_valid()
     LeavittContext(graph)
     z2 = CyclicGroup(2)
-    quotient_graph(graph, identity_action(graph, z2))
-    skew_product(graph, Labeling(z2, {e.id: z2.element(1) for e in graph.edges}))
-    assert [g is graph for g in calls] == [True]
-    broken = SeparatedGraph(["v"], [("a", "v", "v")], {"v": []})
-    for attempt in range(1, 3):
-        with pytest.raises(GraphError, match="uncovered edge 'a'"):
-            broken.require_valid()
-        with pytest.raises(GraphError, match="uncovered edge 'a'"):
-            LeavittContext(broken)
-        assert sum(g is broken for g in calls) == 2 * attempt
+    quotient = quotient_graph(graph, identity_action(graph, z2))
+    skew = skew_product(graph, Labeling(z2, {e.id: z2.element(1) for e in graph.edges}))
+    built = [graph, quotient.graph, skew.graph]
+    assert len(calls) == len(built) and all(v is g.vertices for v, g in zip(calls, built))
 
 
 # -- paths ---------------------------------------------------------------------
@@ -165,24 +205,10 @@ def test_step_table_agrees_with_the_edges_and_cells(seed):
         assert graph.moves(v) == tuple(out + into)
     with pytest.raises(GraphError, match="unknown edge id 'nope'"):
         table[SignedEdge("nope")]
+    with pytest.raises(GraphError, match="unknown edge id 'nope'"):
+        graph.cell_of("nope")
     with pytest.raises(GraphError, match="unknown vertex id 'nope'"):
         graph.moves("nope")
-
-
-def test_cell_of_on_unvalidated_graphs():
-    # 'a' is listed in two cells, 'c' in none, and a cell names the unknown edge 'x'
-    graph = SeparatedGraph(
-        ["v", "w"],
-        [("a", "v", "w"), ("b", "v", "w"), ("c", "w", "v")],
-        {"v": [["a", "b"], ["x"]], "w": [["a"]]},
-    )
-    assert validate(graph)
-    assert graph.cell_of("a") == ("v", 0)  # the first cell wins
-    assert graph.cell_of("b") == ("v", 0)
-    assert graph.cell_of("x") == ("v", 1)
-    for eid in ("c", "nope"):
-        with pytest.raises(GraphError, match=f"edge '{eid}' lies in no separation cell"):
-            graph.cell_of(eid)
 
 
 def test_quote_cuts_a_string_only_past_the_limit():
