@@ -33,8 +33,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 from . import scalars
-from .graphs import SeparatedGraph, SignedEdge, quote
-from .groups import GraphAction, GroupElement, Labeling
+from .graphs import GraphMorphism, SeparatedGraph, SignedEdge, quote
+from .groups import GroupElement, Labeling
 from .scalars import GaussianRational, parse_scalar
 
 
@@ -456,12 +456,9 @@ def decompose(x: AlgebraElement, labeling: Labeling) -> dict:
 # -- induced automorphisms ------------------------------------------------------
 
 
-def induced_automorphism(
-    action: GraphAction, g: GroupElement, x: AlgebraElement
-) -> AlgebraElement:
-    """The algebra automorphism over a graph automorphism: relabel every vertex
-    and edge, then renormalize (the image of a chosen edge need not be chosen)."""
-    f = action.morphism(g)
+def induced_automorphism(f: GraphMorphism, x: AlgebraElement) -> AlgebraElement:
+    """The algebra automorphism over a graph automorphism ``f``: relabel every
+    vertex and edge, then renormalize (the image of a chosen edge need not be chosen)."""
     ctx = x.ctx
     images = []
     for w, c in x.terms.items():
@@ -469,13 +466,13 @@ def induced_automorphism(
             try:
                 moved = f.vmap[w.vertex]
             except KeyError:
-                raise AlgebraError(f"action does not cover vertex {w.vertex!r}") from None
+                raise AlgebraError(f"automorphism does not cover vertex {w.vertex!r}") from None
             images.append(AlgebraElement(ctx, {NormalWord.of_vertex(moved): c}))
         else:
             try:
                 steps = tuple(SignedEdge(f.emap[s.edge], s.star) for s in w.steps)
             except KeyError as exc:
-                raise AlgebraError(f"action does not cover edge {exc}") from None
+                raise AlgebraError(f"automorphism does not cover edge {exc}") from None
             images.append(reduce_word(ctx, steps, c))
     return sum_of(ctx, images)
 

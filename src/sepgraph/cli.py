@@ -202,12 +202,14 @@ def cmd_act(args):
     ctx = _context(args)
     action = action_from_json(_load_json(args.action))
     g = action.group.from_literal(args.g)
-    # only the entry applied is checked: O(n), where the whole table costs O(|G|·|S|·n)
-    bad = isomorphism_violations(action.morphism(g), ctx.graph, ctx.graph)
+    if g not in action.table:  # only an infinite group's table may miss an element
+        raise InputError(f"action table has no entry for {g}")
+    # only the entry applied is checked: O(n), where the whole table costs O(|G|·n)
+    bad = isomorphism_violations(action.table[g], ctx.graph, ctx.graph)
     if bad:
         raise InputError(f"entry for {g} is not an automorphism: " + "; ".join(bad))
     x = parse_element(ctx, args.element)
-    return element_literal(induced_automorphism(action, g, x)), 0
+    return element_literal(induced_automorphism(action.table[g], x)), 0
 
 
 def cmd_verify_crossed_iso(args):

@@ -319,7 +319,7 @@ def verify_iso(
             check_roundtrip(edge_element(ctx, skew.edge_name[(e.id, g)]), f"S_({e.id},{g})")
 
     rng = random.Random(seed)
-    translation = translation_action(skew)
+    translation = translation_action(skew).morphisms()
     elements = group.elements()
     for _ in range(sample_count):
         w1 = random_normal_word(rng, ctx, max_len=4)
@@ -340,7 +340,7 @@ def verify_iso(
         if star_lhs != star_rhs:
             report.failures.append(f"phi not star-preserving on {w1.literal()}")
         z = rng.choice(elements)
-        moved = phi_map(induced_automorphism(translation, z, x), skew, base_ctx)
+        moved = phi_map(induced_automorphism(translation[z], x), skew, base_ctx)
         expected = slot_translate(phi_x, z)
         report.sample_checks += 1
         if moved != expected:

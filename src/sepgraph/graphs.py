@@ -339,34 +339,58 @@ class Quotient(NamedTuple):
     graph: SeparatedGraph
     vertex_class: dict  # original vertex -> class id
     edge_class: dict  # original edge -> class id
+    carrier: dict  # original vertex -> a group element g with vertex = g.(class id)
 
 
-def _orbits(items: Sequence[str], maps: list) -> dict:
-    """Map each item to the lexicographically smallest member of its orbit."""
-    out = dict(zip(items, items))
-    for m in maps:
-        for item, image in m.items():
-            if image < out[item]:
-                out[item] = image
-    return out
+def walk_orbits(points: Sequence[str], steps: list, group) -> tuple:
+    """One breadth-first walk per orbit of the maps in ``steps``, pairs (s, map) of
+    the generators s of a finite group G and bijections of ``points``: (root,
+    carrier, broken).  A point's root r is the least member of its orbit O, its
+    carrier c the product of the generators walked from r, so it is c.r, and
+    ``broken`` lists the roots of the orbits on which the maps do not act as G.
+
+    No relation of G is needed.  Each step b -> s.b gives k = c(s.b)^-1 s c(b),
+    1 on the walk's tree; the maps act on O iff |O|·|H| = |G|, for H the
+    subgroup the ks generate.  As c(s.b)H = s c(b)H, b -> c(b)H carries each map
+    to a left multiplication on G/H, onto it as generators reach all of G; if
+    |O| = |G/H| it is a bijection, and carries G's action on G/H back to one on
+    O by the maps.  In an action each k fixes r, so |O| <= |G/H|; free means H = 1.
+    """
+    root, carrier, broken = {}, {}, []
+    one = group.identity()
+    for r in sorted(points):
+        if r in root:
+            continue
+        root[r], carrier[r] = r, one
+        orbit, off_tree = [r], set()
+        for b in orbit:  # the list grows as the walk reaches new points
+            for s, image in steps:
+                b2, c = image[b], s * carrier[b]
+                if b2 not in root:
+                    root[b2], carrier[b2] = r, c
+                    orbit.append(b2)
+                elif carrier[b2] != c:
+                    off_tree.add(carrier[b2].inverse() * c)
+        subgroup, frontier = {one}, {one}
+        while frontier:
+            frontier = {h * k for h in frontier for k in off_tree} - subgroup
+            subgroup |= frontier
+        if len(orbit) * len(subgroup) != group.order:
+            broken.append(r)
+    return root, carrier, broken
 
 
 def quotient_graph(graph: SeparatedGraph, action: "GraphAction") -> Quotient:
-    """The orbit graph of an action, separation cells pushed to classes.  The
-    whole action table is checked first, once.
+    """The orbit graph of an action, separation cells pushed to classes; the
+    action is checked in the walk that finds its orbits (``action.walk``).
 
-    Class ids are the lexicographically smallest orbit members.  Cells are
-    read off at each class representative; duplicate cells (which arise when
-    the action glues two cells at one vertex) are merged.
+    Class ids are the least orbit members.  Cells are read off at each class
+    representative; duplicate cells (which arise when the action glues two
+    cells at one vertex) are merged.
     """
-    problems = action.violations(graph)
+    problems, vertex_class, carrier, edge_class = action.walk(graph)
     if problems:
         raise GraphError("action invariant violation: " + "; ".join(problems))
-    vmaps = [f.vmap for f in action.table.values()]
-    emaps = [f.emap for f in action.table.values()]
-    vertex_class = _orbits(graph.vertices, vmaps)
-    edge_class = _orbits([e.id for e in graph.edges], emaps)
-
     vertices = sorted(set(vertex_class.values()))
     edge_reps = sorted(set(edge_class.values()))
     edges = [
@@ -375,20 +399,12 @@ def quotient_graph(graph: SeparatedGraph, action: "GraphAction") -> Quotient:
     ]
     separation = {}
     for rep in vertices:
-        cells = []
-        seen = set()
+        cells = {}  # each cell's image once, keyed by its set of classes, in first-seen order
         for cell in graph.cells(rep):
-            image = []
-            for eid in cell:
-                cls = edge_class[eid]
-                if cls not in image:
-                    image.append(cls)
-            key = frozenset(image)
-            if key not in seen:
-                seen.add(key)
-                cells.append(image)
-        separation[rep] = cells
-    return Quotient(SeparatedGraph(vertices, edges, separation), vertex_class, edge_class)
+            image = list(dict.fromkeys(edge_class[eid] for eid in cell))
+            cells.setdefault(frozenset(image), image)
+        separation[rep] = list(cells.values())
+    return Quotient(SeparatedGraph(vertices, edges, separation), vertex_class, edge_class, carrier)
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .graphs import (
     quote,
     quotient_graph,
     skew_product,
+    walk_orbits,
 )
 
 
@@ -116,9 +117,9 @@ class Group:
 
     def elements(self) -> list:
         if not self.is_finite:
-            raise GroupError(f"{self} is not finite; cannot enumerate its elements")
-        if self.order > MAX_ORDER:
-            raise GroupError(f"{self} has {self.order} elements; at most {MAX_ORDER} can be enumerated")
+            raise GroupError(f"{quote(str(self))} is not finite; cannot enumerate its elements")
+        if self.order > MAX_ORDER:  # the order itself may have too many digits to print
+            raise GroupError(f"{quote(str(self))} has more than {MAX_ORDER} elements, too many to enumerate")
         return [GroupElement(self, v) for v in self._values()]
 
     def parse(self, text: str) -> GroupElement:
@@ -136,7 +137,7 @@ class Group:
         try:
             return self.parse(literal) if isinstance(literal, str) else self.element(literal)
         except (TypeError, ValueError):  # int() of a non-integer, or a raw value of the wrong shape
-            raise GroupError(f"{quote(literal)} is not an element of {self}") from None
+            raise GroupError(f"{quote(literal)} is not an element of {quote(str(self))}") from None
 
     def to_literal(self, el: GroupElement):
         return self._to_json(el.value)
@@ -436,99 +437,89 @@ def labeling_from_json(group: Group, data: dict) -> Labeling:
 
 
 class GraphAction(NamedTuple):
-    """A finite group acting by separated-graph automorphisms, given by a
-    full permutation table; the homomorphism property is verified, never
-    assumed."""
+    """A finite group acting by separated-graph automorphisms, held by the entries
+    of ``group.generating_set()``; a table may hold more, as an action file lists
+    every element.  The action is verified (:meth:`walk`), never assumed."""
 
     group: Group
     table: dict  # GroupElement -> GraphMorphism
 
-    def morphism(self, g: GroupElement) -> GraphMorphism:
-        try:
-            return self.table[g]
-        except KeyError:
-            raise GroupError(f"action table has no entry for {g}") from None
+    def morphisms(self) -> dict:
+        """Every element's morphism, composed from the generators' entries along a
+        breadth-first walk of the group: |G| compositions, for callers that need all."""
+        steps = [(s, self.table[s]) for s in self.group.generating_set()]
+        out = dict(steps)
+        queue = list(out)  # products of generators reach every element, 1 = s^|s| included
+        for g in queue:  # the list grows as the walk reaches new elements
+            for s, f in steps:
+                if s * g not in out:
+                    out[s * g] = f.compose(out[g])
+                    queue.append(s * g)
+        return out
 
-    def violations(self, graph: SeparatedGraph) -> list:
-        return check_action(self, graph)
+    def walk(self, graph: SeparatedGraph) -> tuple:
+        """(problems, vertex classes, vertex carriers, edge classes) from one
+        :func:`~sepgraph.graphs.walk_orbits` of the vertices and one of the edges.
+        No problems iff the table is an action: the generators' entries are
+        automorphisms acting as the group on every orbit, and any other entry is
+        its element's product of them (:meth:`morphisms`)."""
+        group, table = self.group, self.table
+        if not group.is_finite:
+            return [f"unsupported group for actions: {group} is not finite"], {}, {}, {}
+        generators = dict.fromkeys(group.generating_set())  # trivial factors each give the identity
+        missing = [str(s) for s in generators if s not in table]
+        if missing:
+            return [f"action table is missing entries for {missing}"], {}, {}, {}
+        problems = [f"entry for {s} is not an automorphism: " + "; ".join(bad)
+                    for s in generators if (bad := isomorphism_violations(table[s], graph, graph))]
+        if problems:
+            return problems, {}, {}, {}
+        vmaps, emaps = [(s, table[s].vmap) for s in generators], [(s, table[s].emap) for s in generators]
+        vertex_class, carrier, broken = walk_orbits(graph.vertices, vmaps, group)
+        edge_class, _, broken_edges = walk_orbits([e.id for e in graph.edges], emaps, group)
+        if broken or broken_edges:
+            root = quote((broken or broken_edges)[0])
+            problems.append(f"the generators' entries do not act as {quote(str(group))} on the orbit of {root}")
+        elif len(table) > len(generators):
+            composed = self.morphisms()
+            differ = [str(g) for g, f in table.items() if f != composed.get(g)]  # or outside the group
+            if differ:
+                problems.append(f"the entries for {differ} are not products of the generators' entries")
+        return problems, vertex_class, carrier, edge_class
 
 
 def check_action(action: GraphAction, graph: SeparatedGraph) -> list:
-    """Everything wrong with an action table: empty iff the table is an action.
-
-    Generators s suffice: if their entries are automorphisms and table(g)∘table(s) =
-    table(gs) for every g, each table(g) composes generator automorphisms, and
-    table(gh) = table(g)∘table(h) by induction on the length of h in generators.
-    """
-    problems = []
-    group, table = action.group, action.table
-    if not group.is_finite:
-        return [f"unsupported group for actions: {group} is not finite"]
-    elements = group.elements()
-    missing = [g for g in elements if g not in table]
-    if missing:
-        return [f"action table is missing entries for {[str(g) for g in missing]}"]
-    members = set(elements)
-    extra = [g for g in table if g not in members]
-    if extra:
-        problems.append(f"action table has entries outside the group: {[str(g) for g in extra]}")
-    vertices, ids = graph.vertices, [e.id for e in graph.edges]
-    if table[group.identity()] != GraphMorphism(dict(zip(vertices, vertices)), dict(zip(ids, ids))):
-        problems.append("identity element does not act as the identity")
-    generators = group.generating_set()
-    for s in generators:
-        bad = isomorphism_violations(table[s], graph, graph)
-        if bad:
-            problems.append(f"entry for {s} is not an automorphism: " + "; ".join(bad))
-    if problems:
-        return problems
-    for g in elements:
-        for s in generators:
-            try:  # a KeyError: table(g) is not total
-                same = table[g].compose(table[s]) == table[g * s]
-            except KeyError:
-                same = False
-            if not same:
-                problems.append(f"table({g})∘table({s}) differs from table({g}{s})")
-    return problems
-
-
-def _fixed_vertex(action: GraphAction, graph: SeparatedGraph):
-    """The first (nontrivial g, vertex it fixes), or ``None`` for a free action."""
-    for g in action.group.elements():
-        if g.is_identity:
-            continue
-        vmap = action.morphism(g).vmap
-        for v in graph.vertices:
-            if vmap[v] == v:
-                return g, v
-    return None
+    """Everything wrong with an action table: empty iff it is an action (:meth:`GraphAction.walk`)."""
+    return action.walk(graph)[0]
 
 
 def is_free(action: GraphAction, graph: SeparatedGraph) -> bool:
-    """True iff no nontrivial group element fixes a vertex."""
-    return _fixed_vertex(action, graph) is None
+    """True iff no nontrivial group element fixes a vertex: every vertex orbit has |G| members."""
+    return len(quotient_graph(graph, action).graph.vertices) * action.group.order == len(graph.vertices)
 
 
 def translation_action(skew: SkewProduct) -> GraphAction:
-    """The free action of the group on its own skew product: g.(x,h) = (x,gh)."""
+    """The free action of the group on its own skew product, g.(x,h) = (x,gh),
+    held by the entries of the group's generators."""
     group = skew.group
     table = {}
-    for g in group.elements():
-        vmap = {name: skew.vertex_name[(v, g * h)] for name, (v, h) in skew.vertex_pair.items()}
-        emap = {name: skew.edge_name[(e, g * h)] for name, (e, h) in skew.edge_pair.items()}
-        table[g] = GraphMorphism(vmap, emap)
+    for s in group.generating_set():
+        vmap = {name: skew.vertex_name[(v, s * h)] for name, (v, h) in skew.vertex_pair.items()}
+        emap = {name: skew.edge_name[(e, s * h)] for name, (e, h) in skew.edge_pair.items()}
+        table[s] = GraphMorphism(vmap, emap)
     return GraphAction(group, table)
 
 
 def action_to_json(action: GraphAction) -> dict:
+    """The JSON form of an action: every element's entry (:meth:`GraphAction.morphisms`)."""
     table = {}
-    for g, f in action.table.items():
+    for g, f in action.morphisms().items():
         table[str(g)] = {"vertices": dict(sorted(f.vmap.items())), "edges": dict(sorted(f.emap.items()))}
     return {"group": group_to_json(action.group), "table": dict(sorted(table.items()))}
 
 
 def action_from_json(data: dict) -> GraphAction:
+    """An action from its JSON form, whose table lists every element of a finite group."""
     entry = {"vertices": {str: str}, "edges": {str: str}}
     check_json(data, {"group": object, "table": {str: entry}}, "malformed action JSON", GroupError)
     group = group_from_json(data["group"], _where="malformed action JSON.group")
@@ -538,6 +529,9 @@ def action_from_json(data: dict) -> GraphAction:
         if keys.setdefault(g, key) != key:
             raise GroupError(f"action table keys {keys[g]!r} and {key!r} both name {g}")
         table[g] = GraphMorphism(dict(maps["vertices"]), dict(maps["edges"]))
+    if group.is_finite and len(table) < group.order:
+        missing = [str(g) for g in group.elements() if g not in table]
+        raise GroupError(f"action table is missing entries for {missing}")
     return GraphAction(group, table)
 
 
@@ -561,47 +555,38 @@ class GrossTuckerResult(NamedTuple):
 def gross_tucker(graph: SeparatedGraph, action: GraphAction) -> GrossTuckerResult:
     """Reconstruct a free action as a skew product over the quotient graph.
 
-    :func:`~sepgraph.graphs.quotient_graph` checks the graph and the whole
-    table once.  The base vertex x of a vertex orbit is its class id, the
-    lexicographically smallest member; as the action is free, g -> g.x is a
-    bijection from the group onto the orbit, so every vertex y = g.x has the
-    orbit coordinates (x, g), and g is the carrier of y.  An edge orbit has
-    exactly one member starting at a base vertex (if f and k.f both did,
-    k would fix that vertex): that member is the orbit's representative, and
-    the carrier of its range is the label of the orbit.  The isomorphism sends
-    (x, g) to g.x and (orbit, g) to g applied to the representative.
+    :func:`~sepgraph.graphs.quotient_graph` checks the action and finds its
+    orbits in one walk.  The action is free iff every vertex orbit has |G|
+    members.  The base vertex x of a vertex orbit is its class id, and the
+    walk's carrier of a vertex y is then the one g with y = g.x: y has the orbit
+    coordinates (x, g).  An edge orbit has exactly one member starting at a base
+    vertex (if f and k.f both did, k would fix that vertex), and the carrier of
+    its range is the label of the orbit.  The isomorphism sends (x, g) to g.x,
+    and (orbit, g) to the member of the orbit that starts at g.x.
     """
-    quotient = quotient_graph(graph, action)
-    fixed = _fixed_vertex(action, graph)
-    if fixed is not None:
-        g, v = fixed
-        raise GroupError(f"action is not free: {g} fixes vertex {v!r}")
-    carrier = {f.vmap[x]: g for g, f in action.table.items() for x in quotient.graph.vertices}
-    rep_edge = {}
-    label = {}
-    for e in graph.edges:
-        if quotient.vertex_class[e.src] == e.src:
-            orbit = quotient.edge_class[e.id]
-            rep_edge[orbit] = e.id
-            label[orbit] = carrier[e.dst]
+    base, vertex_class, edge_class, carrier = quotient_graph(graph, action)
+    if len(base.vertices) * action.group.order != len(graph.vertices):
+        for v in graph.vertices:  # an orbit short of |G| members has a step its carriers do not follow
+            for s in action.group.generating_set():
+                k = carrier[action.table[s].vmap[v]].inverse() * s * carrier[v]
+                if not k.is_identity:  # k fixes the class id of v (graphs.walk_orbits)
+                    raise GroupError(f"action is not free: {k} fixes vertex {vertex_class[v]!r}")
+    label = {edge_class[e.id]: carrier[e.dst] for e in graph.edges if vertex_class[e.src] == e.src}
     labeling = Labeling(action.group, label)
-    skew = skew_product(quotient.graph, labeling)
+    skew = skew_product(base, labeling)
     iso = GraphMorphism(
-        {name: action.table[g].vmap[x] for name, (x, g) in skew.vertex_pair.items()},
-        {name: action.table[g].emap[rep_edge[y]] for name, (y, g) in skew.edge_pair.items()},
+        {skew.vertex_name[(vertex_class[v], carrier[v])]: v for v in graph.vertices},
+        {skew.edge_name[(edge_class[e.id], carrier[e.src])]: e.id for e in graph.edges},
     )
-    return GrossTuckerResult(quotient.graph, labeling, skew, iso)
+    return GrossTuckerResult(base, labeling, skew, iso)
 
 
 def is_equivariant_iso(result: GrossTuckerResult, action: GraphAction) -> bool:
     """Check that the rebuilt isomorphism intertwines the translation action on
-    the skew product with the original action: iso∘t(z) = a(z)∘iso for all z."""
-    translation = translation_action(result.skew)
-    iso = result.iso
-    return all(
-        iso.compose(translation.morphism(z)) == action.morphism(z).compose(iso)
-        for z in action.group.elements()
-    )
+    the skew product with the original action, iso∘t(s) = a(s)∘iso, on the
+    generators s: both sides are actions, so the generators carry the rest."""
+    translation, iso = translation_action(result.skew).table, result.iso
+    return all(iso.compose(t) == action.table[s].compose(iso) for s, t in translation.items())
 
 
 # -- Cayley separated graphs ---------------------------------------------------

@@ -321,14 +321,14 @@ def criterion_7(rng) -> str:
 @_criterion(8, "action invariance of the expectation", 10)
 def criterion_8(rng) -> str:
     checked = 0
-    pairs = _random_skew_actions(rng, 10)
+    pairs = [(skew, action.morphisms()) for skew, action in _random_skew_actions(rng, 10)]
     while checked < 200:
-        skew, action = pairs[checked % len(pairs)]
+        skew, morphisms = pairs[checked % len(pairs)]
         ctx = LeavittContext(skew.graph)
         x = random_element(rng, ctx, max_terms=2, max_len=4)
-        g = rng.choice(action.group.elements())
-        lhs = expect(induced_automorphism(action, g, x))
-        rhs = induced_automorphism(action, g, expect(x))
+        g = rng.choice(skew.group.elements())
+        lhs = expect(induced_automorphism(morphisms[g], x))
+        rhs = induced_automorphism(morphisms[g], expect(x))
         assert lhs == rhs, f"expectation not invariant under {g}"
         checked += 1
     return f"{checked} elements invariant under the sampled actions"

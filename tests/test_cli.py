@@ -32,6 +32,12 @@ LIST_IMAGE = {
     "table": {"0": {"vertices": {"v": ["v"]}, "edges": {"a": "a"}}},
 }
 
+TWO_CYCLE = {
+    "vertices": ["v", "w"],
+    "edges": [{"id": "a", "src": "v", "dst": "w"}, {"id": "b", "src": "w", "dst": "v"}],
+    "separation": {"v": [["a"]], "w": [["b"]]},
+}
+
 PAIR = {
     "vertices": ["v"],
     "edges": [
@@ -261,6 +267,29 @@ def test_an_invalid_table_fails_quotient_and_gross_tucker_alike(capsys, tmp_path
     assert err.startswith("error: action invariant violation: ")
 
 
+@pytest.mark.parametrize("command", [["quotient"], ["gross-tucker"], ["act", "1", "a"]])
+def test_a_finite_group_table_missing_an_element_exits_2(capsys, tmp_path, command):
+    # the generator's entry alone would be an action; a file still lists every element
+    swap = {"vertices": {"v": "w", "w": "v"}, "edges": {"a": "b", "b": "a"}}
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps({"group": {"type": "zmod", "n": 2}, "table": {"1": swap}}))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(TWO_CYCLE))
+    code, out, err = run(capsys, command[0], "--graph", str(graph), "--action", str(action), *command[1:])
+    assert (code, out, err) == (2, "", "error: action table is missing entries for ['0']\n")
+
+
+def test_an_infinite_group_table_is_read_by_act(capsys, tmp_path):
+    swap = {"vertices": {"v": "w", "w": "v"}, "edges": {"a": "b", "b": "a"}}
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps({"group": {"type": "z"}, "table": {"1": swap}}))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(TWO_CYCLE))
+    argv = ["act", "--graph", str(graph), "--action", str(action)]
+    assert run(capsys, *argv, "1", "a") == (0, "1 * b\n", "")
+    assert run(capsys, *argv, "2", "a") == (2, "", "error: action table has no entry for 2\n")
+
+
 @pytest.mark.parametrize("command", [["quotient"], ["act", "1", "a"]])
 def test_action_table_keys_naming_one_element_exit_2(capsys, tmp_path, command):
     # '1' and '3' both name 1 in zmod:2; keeping the last would drop the swap
@@ -459,6 +488,11 @@ def test_a_long_integer_names_the_limit_in_a_short_line(capsys, a2_file, argv):
 
 
 LONG = "x" * 5000
+# two zmod factors of 3,000 nines: an order of 6,000 digits, past the int-string
+# limit; braces doubled for the str.format the long-input test applies
+PRODUCT = '{{"type": "product", "factors": [{{"type": "zmod", "n": %s}}, {{"type": "zmod", "n": %s}}]}}' % (
+    "9" * 3000, "9" * 3000)
+NINES = "zmod:" + "9" * 4000  # a 4,000-digit modulus: messages quote the group, not print it whole
 
 
 @pytest.mark.parametrize(
@@ -474,9 +508,13 @@ LONG = "x" * 5000
      (["reduce", "--graph", LONG, "a1"], "error: cannot read 'xx"),
      (["reduce", "--graph", "{a2}", "--ex-choice", LONG, "a1"], "error: cannot read 'xx"),
      (["skew", "--graph", "{a2}", "--group", "zmod:2", "--label", LONG], "error: cannot read 'xx"),
-     (["quotient", "--graph", "{a2}", "--action", LONG], "error: cannot read 'xx")],
+     (["quotient", "--graph", "{a2}", "--action", LONG], "error: cannot read 'xx"),
+     (["cayley", "--group", PRODUCT, "--generators", "(1,0)"], "error: 'zmod:999"),
+     (["cayley", "--group", NINES, "--generators", "1"], "error: 'zmod:999"),
+     (["cayley", "--group", NINES, "--generators", "x"], "error: 'x' is not an element of 'zmod:999")],
     ids=["scalar-literal", "zmod-spec", "group-spec", "edge-id", "generator", "vertex-id", "dangling-sign",
-         "bare-coefficient", "graph-path", "ex-choice-path", "label-path", "action-path"],
+         "bare-coefficient", "graph-path", "ex-choice-path", "label-path", "action-path", "product-order",
+         "zmod-order", "element-of-long-group"],
 )
 def test_a_long_input_is_quoted_in_a_short_line(capsys, a2_file, argv, quoted):
     code, out, err = run(capsys, *[arg.format(a2=a2_file) for arg in argv])
@@ -625,20 +663,20 @@ def test_mistyped_json_exits_2(capsys, a2_file, tmp_path, files, argv, where):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["cayley", "--group", "zmod:6", "--generators", "x"], "'x' is not an element of zmod:6"),
+        (["cayley", "--group", "zmod:6", "--generators", "x"], "'x' is not an element of 'zmod:6'"),
         (["cayley", "--group", "zmod:6", "--generators", "1,2^x"], "'2^x' is not an element"),
         (["cayley", "--group", '{{"type": "product", "factors": [{{"type": "zmod", "n": 6}}]}}',
-          "--generators", "(x)"], "'(x)' is not an element of zmod:6"),
-        (["act", "--graph", "{a2}", "--action", "{act}", "x", "a1"], "'x' is not an element of zmod:1"),
-        (["quotient", "--graph", "{a2}", "--action", "{keyed}"], "'x' is not an element of zmod:1"),
+          "--generators", "(x)"], "'(x)' is not an element of 'zmod:6'"),
+        (["act", "--graph", "{a2}", "--action", "{act}", "x", "a1"], "'x' is not an element of 'zmod:1'"),
+        (["quotient", "--graph", "{a2}", "--action", "{keyed}"], "'x' is not an element of 'zmod:1'"),
         (["cayley", "--group", "zmod:x", "--generators", "1"], "group spec 'zmod:x' needs an integer"),
         (["cayley", "--group", "zmod:", "--generators", "1"], "group spec 'zmod:' needs an integer"),
         (["grade", "--graph", "{a2}", "--group", "z", "--label", "{lab}", "a1"],
-         "label of edge 'a1': '1.5' is not an element of z"),
+         "label of edge 'a1': '1.5' is not an element of 'z'"),
         (["grade", "--graph", "{a2}", "--group", "free:a,b", "--label", "{free}", "a1"],
-         "label of edge 'a1': 1 is not an element of free(a,b)"),
+         "label of edge 'a1': 1 is not an element of 'free(a,b)'"),
         (["grade", "--graph", "{a2}", "--group", "free:a,b", "--label", "{pairs}", "a1"],
-         "label of edge 'a1': [['a']] is not an element of free(a,b)"),
+         "label of edge 'a1': [['a']] is not an element of 'free(a,b)'"),
     ],
 )
 def test_an_element_literal_that_does_not_parse_is_named_with_its_group(

@@ -434,13 +434,13 @@ def test_slot_translation_matches_the_graph_translation():
     from sepgraph.algebra import induced_automorphism
     from sepgraph.groups import translation_action
 
-    action = translation_action(skew)
+    morphisms = translation_action(skew).morphisms()
     rng = random.Random(11)
     for _ in range(20):
         word = random_normal_word(rng, sctx, max_len=3)
         x = from_word(sctx, word)
         z = rng.choice(group.elements())
-        lhs = phi_map(induced_automorphism(action, z, x), skew, ctx)
+        lhs = phi_map(induced_automorphism(morphisms[z], x), skew, ctx)
         rhs = slot_translate(phi_map(x, skew, ctx), z)
         assert lhs == rhs
 
