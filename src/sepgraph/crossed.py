@@ -37,7 +37,7 @@ from .algebra import (
     word_degree,
 )
 from .graphs import GraphError, SignedEdge, SkewProduct, skew_product
-from .groups import GroupElement, GroupError, Labeling, translation_action
+from .groups import GroupElement, Labeling, translation_action
 from .sampling import random_normal_word
 
 MAX_SAMPLES = 10**5  # about 0.2 ms a sample: 20 s, inside the 30 s budget README states
@@ -210,10 +210,7 @@ class PsiGenerators(NamedTuple):
 
 
 def psi_on_generators(skew: SkewProduct, skew_ctx: LeavittContext) -> PsiGenerators:
-    group = skew.group
-    if not group.is_finite:
-        raise GroupError(f"slot sums need a finite group, got {group}")
-    elements = group.elements()
+    elements = skew.group.elements()
 
     def total(make, names):
         return sum_of(skew_ctx, (make(skew_ctx, name) for name in names))
@@ -296,9 +293,7 @@ def verify_iso(
     """
     if sample_count < 0:
         raise ValueError(f"the sample count must be at least 0, got {sample_count}")
-    group = labeling.group
-    if not group.is_finite:
-        raise GroupError(f"verification needs a finite group, got {group}")
+    elements = labeling.group.elements()  # refuses an infinite group before anything is built
     base_ctx = LeavittContext(graph)
     skew = skew_product(graph, labeling)
     ctx = skew_context(skew, base_ctx)
@@ -312,15 +307,14 @@ def verify_iso(
             report.failures.append(f"psi(phi({label})) != {label}")
 
     for v in graph.vertices:
-        for g in group.elements():
+        for g in elements:
             check_roundtrip(vertex_element(ctx, skew.vertex_name[(v, g)]), f"P_({v},{g})")
     for e in graph.edges:
-        for g in group.elements():
+        for g in elements:
             check_roundtrip(edge_element(ctx, skew.edge_name[(e.id, g)]), f"S_({e.id},{g})")
 
     rng = random.Random(seed)
     translation = translation_action(skew).morphisms()
-    elements = group.elements()
     for _ in range(sample_count):
         w1 = random_normal_word(rng, ctx, max_len=4)
         w2 = random_normal_word(rng, ctx, max_len=4)

@@ -291,11 +291,9 @@ class SkewProduct(NamedTuple):
 def skew_product(graph: SeparatedGraph, labeling: "Labeling") -> SkewProduct:
     """The skew product of a separated graph by an edge labeling into a finite group."""
     group = labeling.group
-    if not group.is_finite:
-        raise GraphError(f"unsupported group for skew products: {group} is not finite")
+    elements = group.elements()  # raises on an infinite group
     for e in graph.edges:
         labeling.of(e.id)  # raises on a missing label
-    elements = group.elements()
     vertex_name = {}
     edge_name = {}
     vertices = []
@@ -356,7 +354,7 @@ def walk_orbits(points: Sequence[str], steps: list, group) -> tuple:
     |O| = |G/H| it is a bijection, and carries G's action on G/H back to one on
     O by the maps.  In an action each k fixes r, so |O| <= |G/H|; free means H = 1.
     """
-    root, carrier, broken = {}, {}, []
+    root, carrier, broken, orders = {}, {}, [], {}  # orders: |H| by its set of ks, each closed once
     one = group.identity()
     for r in sorted(points):
         if r in root:
@@ -371,11 +369,13 @@ def walk_orbits(points: Sequence[str], steps: list, group) -> tuple:
                     orbit.append(b2)
                 elif carrier[b2] != c:
                     off_tree.add(carrier[b2].inverse() * c)
-        subgroup, frontier = {one}, {one}
-        while frontier:
-            frontier = {h * k for h in frontier for k in off_tree} - subgroup
-            subgroup |= frontier
-        if len(orbit) * len(subgroup) != group.order:
+        if (ks := frozenset(off_tree)) not in orders:
+            subgroup, frontier = {one}, {one}
+            while frontier:
+                frontier = {h * k for h in frontier for k in ks} - subgroup
+                subgroup |= frontier
+            orders[ks] = len(subgroup)
+        if len(orbit) * orders[ks] != group.order:
             broken.append(r)
     return root, carrier, broken
 

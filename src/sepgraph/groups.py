@@ -122,6 +122,9 @@ class Group:
             raise GroupError(f"{quote(str(self))} has more than {MAX_ORDER} elements, too many to enumerate")
         return [GroupElement(self, v) for v in self._values()]
 
+    def generating_set(self) -> list:  # every element: so elements() alone decides finiteness
+        return self.elements()
+
     def parse(self, text: str) -> GroupElement:
         return GroupElement(self, self._parse(text.strip()))
 
@@ -464,12 +467,9 @@ class GraphAction(NamedTuple):
         automorphisms acting as the group on every orbit, and any other entry is
         its element's product of them (:meth:`morphisms`)."""
         group, table = self.group, self.table
-        if not group.is_finite:
-            return [f"unsupported group for actions: {group} is not finite"], {}, {}, {}
         generators = dict.fromkeys(group.generating_set())  # trivial factors each give the identity
-        missing = [str(s) for s in generators if s not in table]
-        if missing:
-            return [f"action table is missing entries for {missing}"], {}, {}, {}
+        if missing := [s for s in generators if s not in table]:
+            return [_missing_entries(missing)], {}, {}, {}
         problems = [f"entry for {s} is not an automorphism: " + "; ".join(bad)
                     for s in generators if (bad := isomorphism_violations(table[s], graph, graph))]
         if problems:
@@ -530,9 +530,15 @@ def action_from_json(data: dict) -> GraphAction:
             raise GroupError(f"action table keys {keys[g]!r} and {key!r} both name {g}")
         table[g] = GraphMorphism(dict(maps["vertices"]), dict(maps["edges"]))
     if group.is_finite and len(table) < group.order:
-        missing = [str(g) for g in group.elements() if g not in table]
-        raise GroupError(f"action table is missing entries for {missing}")
+        raise GroupError(_missing_entries([g for g in group.elements() if g not in table]))
     return GraphAction(group, table)
+
+
+def _missing_entries(missing: list) -> str:
+    """The message for the elements an action table lacks: the first five, then a count."""
+    shown = ", ".join(quote(str(g)) for g in missing[:5])
+    more = f" and {len(missing) - 5:,} more" if len(missing) > 5 else ""
+    return f"action table is missing entries for [{shown}]{more}"
 
 
 # -- reconstruction of free actions ------------------------------------------
@@ -606,8 +612,6 @@ def cayley_separated_graph(group: Group, generators: Sequence[GroupElement]) -> 
     the group elements and the edge (h, g_i) runs from h to h*g_i, each edge in
     its own cell.
     """
-    if not group.is_finite:
-        raise GroupError(f"unsupported group for Cayley graphs: {group} is not finite")
     base = bouquet_graph(len(generators))
     labeling = Labeling(
         group, {f"a{i}": g for i, g in enumerate(generators, start=1)}

@@ -100,6 +100,8 @@ def test_cayley_generator_list_ignores_spaces_and_empty_parts(capsys):
     _, tight, _ = run(capsys, "cayley", "--group", z2z2, "--generators", "(1,0),(0,1)")
     assert loose == tight
     assert len(json.loads(tight)["edges"]) == 8
+    line = "error: cayley needs at least one generator\n"
+    assert run(capsys, "cayley", "--group", z2z2, "--generators", ",") == (2, "", line)
 
 
 def test_reduce_star_edge(capsys, a2_file):
@@ -443,6 +445,7 @@ def test_verify_refuses_a_group_past_the_order_cap(capsys, a2_file, tmp_path, mo
 VALUE_ERRORS = [
     ({"bad": b"\xff\xfe{"}, ["reduce", "--graph", "{bad}", "a1"],
      "cannot read {bad}: 'utf-8' codec can't decode byte 0xff"),
+    ({"bad": b'{"vertices": ['}, ["reduce", "--graph", "{bad}", "a1"], "error: {bad}:1:15: Expecting value\n"),
     ({}, ["reduce", "--graph", "{a2}\0", "a1"], "cannot read {a2}\0: embedded null byte"),
     ({"spec": b'{"type": "zmod", "n": ' + b"7" * 5000 + b"}"},
      ["cayley", "--group", "{spec}", "--generators", "1"],
@@ -459,7 +462,7 @@ VALUE_ERRORS = [
 
 
 @pytest.mark.parametrize(
-    "files,argv,where", VALUE_ERRORS, ids=["not-utf8", "nul-in-path", "json-int-digits",
+    "files,argv,where", VALUE_ERRORS, ids=["not-utf8", "json-syntax", "nul-in-path", "json-int-digits",
                                          "product-digits", "literal-digits", "exponent", "samples"]
 )
 def test_an_input_that_ends_in_a_value_error_is_named(capsys, a2_file, tmp_path, files, argv, where):
@@ -521,6 +524,32 @@ def test_a_long_input_is_quoted_in_a_short_line(capsys, a2_file, argv, quoted):
     assert code == 2 and out == ""
     assert err.startswith(quoted) and "characters)" in err
     assert err.count("\n") == 1 and len(err) < 300 and "Traceback" not in err
+
+
+def test_an_infinite_group_is_refused_in_one_short_line(capsys, a2_file, tmp_path):
+    label = tmp_path / "label.json"
+    label.write_text(json.dumps({"a1": "1", "a2": "1"}))
+    action = tmp_path / "action.json"
+    action.write_text(json.dumps({"group": {"type": "free", "generators": [LONG]}, "table": {}}))
+    free = f"free:{LONG}"
+    argvs = [
+        ["skew", "--graph", a2_file, "--label", str(label), "--group", free],
+        ["cayley", "--group", free, "--generators", "1"],
+        ["quotient", "--graph", a2_file, "--action", str(action)],
+        ["gross-tucker", "--graph", a2_file, "--action", str(action)],
+        ["verify-crossed-iso", "--graph", a2_file, "--label", str(label), "--group", free, "--seed", "1"],
+    ]
+    line = f"error: 'free({'x' * 59}'... (5,006 characters) is not finite; cannot enumerate its elements\n"
+    assert len(line) < 300
+    assert {run(capsys, *argv) for argv in argvs} == {(2, "", line)}
+
+
+def test_a_long_list_of_missing_entries_is_cut_in_a_short_line(capsys, a2_file, tmp_path):
+    ident = {"vertices": {"v": "v"}, "edges": {"a1": "a1", "a2": "a2"}}
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps({"group": {"type": "zmod", "n": 1000}, "table": {"0": ident}}))
+    line = "error: action table is missing entries for ['1', '2', '3', '4', '5'] and 994 more\n"
+    assert run(capsys, "quotient", "--graph", a2_file, "--action", str(action)) == (2, "", line)
 
 
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])

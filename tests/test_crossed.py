@@ -425,6 +425,24 @@ def test_psi_inverts_phi_on_generators():
             assert psi_apply(gens, phi_map(x, skew, ctx), sctx) == x
 
 
+def test_psi_inverts_phi_on_starred_edges():
+    # psi_apply's star branch: every S_(e,g)* of the Fig.-5 graph x Z/3 comes back
+    fig5 = SeparatedGraph(
+        ["v", "w1", "w2", "w3"],
+        [("al1", "v", "w1"), ("al2", "v", "w2"), ("be1", "v", "w1"), ("be2", "v", "w3")],
+        {"v": [["al1", "al2"], ["be1", "be2"]]},
+    )
+    labels = {"al1": 1, "al2": 0, "be1": 1, "be2": 2}
+    labeling = Labeling(Z3, {eid: Z3.element(k) for eid, k in labels.items()})
+    ctx = LeavittContext(fig5)
+    skew = skew_product(fig5, labeling)
+    sctx = skew_context(skew, ctx)
+    gens = psi_on_generators(skew, sctx)
+    starred = [edge_element(sctx, name, star=True) for name in skew.edge_pair]
+    assert len(starred) == 12
+    assert all(psi_apply(gens, phi_map(x, skew, ctx), sctx) == x for x in starred)
+
+
 # -- slot translation ---------------------------------------------------------------------
 
 

@@ -271,10 +271,10 @@ def test_cuntz_skew_is_cayley():
 
 
 def test_skew_requires_finite_group():
-    from sepgraph.groups import IntegerGroup
+    from sepgraph.groups import GroupError, IntegerGroup
 
     graph = cuntz_graph(1)
-    with pytest.raises(GraphError, match="not finite"):
+    with pytest.raises(GroupError, match="'z' is not finite; cannot enumerate its elements"):
         skew_product(graph, Labeling(IntegerGroup(), {"a1": IntegerGroup().element(1)}))
 
 

@@ -691,6 +691,48 @@ def test_the_free_action_round_trip_costs_linear_work_in_the_group_order(monkeyp
     assert work(128) <= 2.2 * work(64)
 
 
+def test_a_trivial_action_on_many_orbits_costs_linear_work(monkeypatch):
+    # N one-point orbits of Z/N, each with the subgroup H = Z/N: H is closed once, not N times
+    count = [0]
+    mul = groups.GroupElement.__mul__
+
+    def counted_mul(self, other):
+        count[0] += 1
+        return mul(self, other)
+
+    def work(order):
+        group = CyclicGroup(order)
+        points = [f"v{i}" for i in range(order)]
+        action = GraphAction(group, {group.element(1): GraphMorphism({v: v for v in points}, {})})
+        graph = SeparatedGraph(points, [], {})
+        monkeypatch.setattr(groups.GroupElement, "__mul__", counted_mul)
+        count[0] = 0
+        assert check_action(action, graph) == []
+        monkeypatch.undo()
+        return count[0]
+
+    assert work(200) <= 2.2 * work(100)
+    assert work(400) <= 2.2 * work(200)
+
+
+def test_an_infinite_group_is_refused_by_elements_alone():
+    graph, action = swap_action()
+    z = IntegerGroup()
+    infinite = GraphAction(z, {z.element(1): action.table[CyclicGroup(2).element(1)]})
+    calls = [z.generating_set, infinite.morphisms, lambda: action_to_json(infinite),
+             lambda: check_action(infinite, graph), lambda: cayley_separated_graph(F2, [F2.generator("a")])]
+    for call in calls:
+        with pytest.raises(GroupError, match=r"^'(z|free\(a,b\))' is not finite; cannot enumerate its elements"):
+            call()
+
+
+def test_a_long_list_of_missing_entries_is_cut():
+    group = ProductGroup((CyclicGroup(2),) * 8)  # eight generators, none in the table
+    shown = ", ".join(repr("(" + ",".join("1" if j == i else "0" for j in range(8)) + ")") for i in range(5))
+    problems = check_action(GraphAction(group, {}), GRAPH)
+    assert problems == [f"action table is missing entries for [{shown}] and 3 more"]
+
+
 NESTED = ProductGroup((CyclicGroup(5), ProductGroup((CyclicGroup(4), CyclicGroup(3))), CyclicGroup(2)))
 
 
