@@ -11,6 +11,7 @@ the reader of stdout closes the pipe early (``| head``), 2 on an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -288,22 +289,28 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     with ``command`` naming a subcommand only that subcommand's parser is
     built: it parses every argument list that starts with ``command`` as the
     full parser does, usage lines and messages included.  Any other
-    ``command`` gives the full parser.
+    ``command`` gives the full parser.  Each is built on first use and then
+    shared for the rest of the process, so it must not be mutated.
     """
+    return _parser(command if command in COMMANDS else None)
+
+
+@functools.cache  # keyed by a subcommand's name or None: at most len(COMMANDS) + 1 parsers
+def _parser(command) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepgraph",
         description="exact computation with separated graphs and their path algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (fn, summary, arguments) in COMMANDS.items():
-        if command not in COMMANDS or command == name:
+        if command is None or command == name:
             p = sub.add_parser(name, help=summary)
             p.set_defaults(fn=fn)
             for argument in arguments.split():
                 flag = argument.strip("[]")
                 required = {"required": flag == argument} if flag.startswith("-") else {}
                 p.add_argument(flag, **ARGUMENTS.get(flag, {}), **required)
-    if command in COMMANDS:
+    if command is not None:
         # the usage line an extra argument prints names every command, as the full parser's does
         sub.metavar = "{" + ",".join(COMMANDS) + "}"
     return parser
@@ -312,10 +319,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command, write its output and return its exit code (see the module docstring).
 
-    May be called repeatedly in one process: each call builds the parser for
-    its subcommand alone, and nothing outlives a call.  An argparse usage
-    error, and ``--help``, raise ``SystemExit`` (2 for a usage error) instead
-    of returning.
+    May be called repeatedly in one process: each subcommand's parser is built
+    on first use and kept for the process, at most 14 of them; nothing else
+    outlives a call.  An argparse usage error, and ``--help``, raise
+    ``SystemExit`` (2 for a usage error) instead of returning.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)

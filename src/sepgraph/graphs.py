@@ -440,11 +440,11 @@ def read_graph_json(data) -> tuple:
 QUOTE_LIMIT = 64
 
 
-def quote(value) -> str:
-    """``repr(value)`` for an error message; a string over :data:`QUOTE_LIMIT`
-    characters shows only its start and its length, so the message stays short."""
-    if type(value) is str and len(value) > QUOTE_LIMIT:
-        return f"{value[:QUOTE_LIMIT]!r}... ({len(value):,} characters)"
+def quote(value, limit: int = QUOTE_LIMIT) -> str:
+    """``repr(value)`` for an error message; a string over ``limit`` characters
+    shows only its start and its length, so the message stays short."""
+    if type(value) is str and len(value) > limit:
+        return f"{value[:limit]!r}... ({len(value):,} characters)"
     return repr(value)
 
 

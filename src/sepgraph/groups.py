@@ -535,8 +535,9 @@ def action_from_json(data: dict) -> GraphAction:
 
 
 def _missing_entries(missing: list) -> str:
-    """The message for the elements an action table lacks: the first five, then a count."""
-    shown = ", ".join(quote(str(g)) for g in missing[:5])
+    """The message for the elements an action table lacks: the first five, then a
+    count.  The five share 90 characters, so long element texts give a short line."""
+    shown = ", ".join(quote(str(g), 90 // min(len(missing), 5)) for g in missing[:5])
     more = f" and {len(missing) - 5:,} more" if len(missing) > 5 else ""
     return f"action table is missing entries for [{shown}]{more}"
 

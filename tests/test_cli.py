@@ -552,6 +552,18 @@ def test_a_long_list_of_missing_entries_is_cut_in_a_short_line(capsys, a2_file, 
     assert run(capsys, "quotient", "--graph", a2_file, "--action", str(action)) == (2, "", line)
 
 
+def test_long_missing_elements_share_one_budget_in_a_short_line(capsys, a2_file, tmp_path):
+    # each element of this order-8 group has a 127-character text; each was once cut at 64
+    factors = [{"type": "zmod", "n": 2}] * 3 + [{"type": "zmod", "n": 1}] * 60
+    action = tmp_path / "act.json"
+    action.write_text(json.dumps({"group": {"type": "product", "factors": factors}, "table": {}}))
+    starts = ["(0,0,0", "(0,0,1", "(0,1,0", "(0,1,1", "(1,0,0"]
+    shown = ", ".join(f"'{start},0,0,0,0,0,0'... (127 characters)" for start in starts)
+    line = f"error: action table is missing entries for [{shown}] and 3 more\n"
+    assert len(line) < 300
+    assert run(capsys, "quotient", "--graph", a2_file, "--action", str(action)) == (2, "", line)
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--seed"])
 def test_a_long_int_argument_is_quoted_in_a_short_message(capsys, a2_file, flag):
     argv = ["verify-crossed-iso", "--graph", a2_file, "--label", "l.json", "--group", "z", flag, "9" * 5000]
@@ -772,6 +784,7 @@ def test_a_call_builds_only_its_subcommands_parser(capsys, monkeypatch, a2_file)
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    cli._parser.cache_clear()
     for argv in (
         ["reduce", "--graph", a2_file, "a1 a1*"],
         ["mul", "--graph", a2_file, "a1", "a2"],
@@ -782,6 +795,24 @@ def test_a_call_builds_only_its_subcommands_parser(capsys, monkeypatch, a2_file)
         built.clear()
         assert run(capsys, *argv)[0] == 0
         assert built == ["sepgraph", f"sepgraph {argv[0]}"]  # not all 13 subparsers
+        built.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert built == []  # the first call's parser is reused
+
+
+def test_the_parser_cache_is_bounded_and_shared(capsys):
+    cli._parser.cache_clear()
+    argvs = (
+        [[f"no-such-command-{i}"] for i in range(50)]
+        + [["-h"], []]
+        + [[name, "--help"] for name in cli.COMMANDS]  # a bare selftest would run the suite
+    )
+    for argv in argvs:
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    assert cli._parser.cache_info().currsize <= len(cli.COMMANDS) + 1
+    assert cli.build_parser("x") is cli.build_parser("y") is cli.build_parser()
 
 
 COMMANDS = (

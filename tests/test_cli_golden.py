@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from sepgraph import cli
 from sepgraph.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -136,6 +137,25 @@ def test_parser_output_is_byte_identical(argv, monkeypatch):
     recorded = json.loads(USAGE.read_text(encoding="utf-8"))
     assert sorted(recorded) == sorted(_key(argv) for argv in USAGE_CASES)
     assert run_usage(argv) == recorded[_key(argv)]
+
+
+def test_reused_parsers_print_the_recorded_bytes(monkeypatch):
+    """Parsers are kept for the process: built at 20 columns and reused at 80,
+    they print what is recorded, twice over, and the commands after them match."""
+    cli._parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "20")
+    for argv in USAGE_CASES:
+        run_usage(argv)
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = json.loads(USAGE.read_text(encoding="utf-8"))
+    for _ in range(2):
+        for argv in USAGE_CASES:
+            assert run_usage(argv) == usage[_key(argv)], argv
+    outputs = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    monkeypatch.chdir(GOLDEN)
+    for argv in reversed(CASES):
+        assert run_case(argv) == outputs[_key(argv)], argv
+    assert cli._parser.cache_info().currsize <= len(cli.COMMANDS) + 1
 
 
 INPUTS = sorted(
