@@ -22,6 +22,6 @@ nothing.
 Elements, words, groups, and the records of graphs, labelings and actions
 never change once built.  A context memoizes ``expect_cache``, N of each
 term's word, bounded at ``expectation.MEMO_ENTRIES`` words with the oldest
-dropped first, and ``compatible_with``; a graph memoizes its step table.
+dropped first; a graph memoizes its step table.
 All arithmetic is exact.
 """

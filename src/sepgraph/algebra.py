@@ -97,13 +97,13 @@ class LeavittContext:
 
     The choice parameterizes the basis; the default is the lexicographically
     smallest edge id in each cell.  The graph's step table is shared by every
-    context over it; a context adds only its set of chosen edges, the
+    context over it; a context adds only its set of chosen edges and the
     expectation's memo from a term's word to its N (bounded: past
-    ``expectation.MEMO_ENTRIES`` words it drops its oldest) and the fiberwise
-    choices it passed.
+    ``expectation.MEMO_ENTRIES`` words it drops its oldest).  A
+    ``crossed.SkewContext`` fixes the fiberwise choice on a skew product.
     """
 
-    __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache", "compatible_with")
+    __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache")
 
     def __init__(self, graph: SeparatedGraph, ex_choice: Optional[dict] = None):
         self.graph = graph
@@ -120,9 +120,6 @@ class LeavittContext:
             self._chosen.add(eid)
         self.ex_choice = choice
         self.expect_cache = OrderedDict()
-        # base context -> the SkewProduct this context's choice was checked
-        # against fiberwise (crossed.phi_map); only passed checks are kept
-        self.compatible_with = {}
 
     def same_context(self, other: "LeavittContext") -> bool:
         return self is other or (self.graph == other.graph and self.ex_choice == other.ex_choice)
@@ -164,16 +161,6 @@ def forbidden_pair(ctx: LeavittContext, a: SignedEdge, b: SignedEdge) -> bool:
     """True iff ``a b`` is a forbidden subword: ``e* f`` with ``e, f`` in one
     cell, or ``e_X e_X*`` for a chosen edge ``e_X``."""
     return junction(ctx.graph.step_table(), ctx._chosen, a, b) != APPEND
-
-
-def is_normal(ctx: LeavittContext, steps: Sequence[SignedEdge]) -> bool:
-    """True iff the word is composable and avoids both forbidden subwords."""
-    steps = tuple(steps)
-    table = ctx.graph.step_table()
-    return all(
-        table[a][1] == table[b][0] and junction(table, ctx._chosen, a, b) == APPEND
-        for a, b in zip(steps, steps[1:])
-    )
 
 
 def _fold(ctx: LeavittContext, steps: tuple) -> dict:

@@ -10,10 +10,10 @@ and the involution to (b, h)* = (b*, deg(b) h).
 
 The skew-product algebra is carried onto this crossed product word-by-word:
 a basis word of the skew product starting in the ``g`` fiber and projecting to
-the base word ``s`` maps to (s, (g c(s))^-1).  Provided the skew product's
-chosen edges are the pairs (e_X, g), that assignment is a bijection of bases;
-multiplicativity is verified by :func:`verify_iso`, never assumed.  The group
-slot sums inverting the map need a finite group, and only then.
+the base word ``s`` maps to (s, (g c(s))^-1).  That is a bijection of bases
+under the choice of a :class:`SkewContext`, whose chosen edges are the pairs
+(e_X, g); multiplicativity is verified by :func:`verify_iso`, never assumed.
+The group slot sums inverting the map need a finite group, and only then.
 """
 
 from __future__ import annotations
@@ -109,48 +109,36 @@ def crossed_star(x: CrossedElement) -> CrossedElement:
 # -- the skew-product isomorphism on basis elements ------------------------------
 
 
-def compatible_ex_choice(skew: SkewProduct, base_ctx: LeavittContext) -> dict:
-    """The choice on the skew product matching the base choice fiberwise:
-    the chosen edge of the cell X x {g} is (e_X, g)."""
-    choice = {}
-    for (v, g), name in skew.vertex_name.items():
-        for i in range(len(skew.base.cells(v))):
-            choice[(name, i)] = skew.edge_name[(base_ctx.chosen(v, i), g)]
-    return choice
+class SkewContext(LeavittContext):
+    """A context over a skew product whose choice is the fiber copy of a base
+    context's: the chosen edge of the cell X x {g} is (e_X, g).  It is the one
+    context :func:`phi_map` accepts, and it carries the skew product and the
+    base context that the map needs."""
+
+    __slots__ = ("skew", "base")
+
+    def __init__(self, skew: SkewProduct, base: LeavittContext):
+        if base.graph != skew.base:
+            raise AlgebraError("the base context does not live over the skew product's base graph")
+        choice = {}
+        for (v, g), name in skew.vertex_name.items():
+            for i in range(len(skew.base.cells(v))):
+                choice[(name, i)] = skew.edge_name[(base.chosen(v, i), g)]
+        super().__init__(skew.graph, choice)
+        self.skew, self.base = skew, base
 
 
-def skew_context(skew: SkewProduct, base_ctx: LeavittContext) -> LeavittContext:
-    return LeavittContext(skew.graph, compatible_ex_choice(skew, base_ctx))
-
-
-def _check_compatible(skew: SkewProduct, skew_ctx: LeavittContext, base_ctx: LeavittContext):
-    compatible = compatible_ex_choice(skew, base_ctx)
-    for (name, i), chosen in skew_ctx.ex_choice.items():
-        expected = compatible[(name, i)]
-        if chosen != expected:
-            raise AlgebraError(
-                "incompatible choice on the skew product: cell "
-                f"{i} at {name!r} chooses {chosen!r}, not the fiber copy of the "
-                f"base choice {expected!r}"
-            )
-
-
-def phi_map(
-    x: AlgebraElement, skew: SkewProduct, base_ctx: LeavittContext
-) -> CrossedElement:
+def phi_map(x: AlgebraElement) -> CrossedElement:
     """Carry a skew-product algebra element onto the crossed product.
 
     A basis word starting at the fiber vertex (v, g) and projecting to the
     base word s goes to (s, (g c(s))^-1); this is a linear bijection of bases
-    under the fiberwise-compatible choice.  That choice is checked once per
-    (skew context, base context): a passed check is remembered on the skew
-    context for this ``skew`` object, a failed one is not.
+    under the fiberwise choice, so ``x`` must live over a :class:`SkewContext`.
     """
-    if x.ctx.graph != skew.graph:
-        raise AlgebraError("element does not live over the given skew product")
-    if x.ctx.compatible_with.get(base_ctx) is not skew:
-        _check_compatible(skew, x.ctx, base_ctx)
-        x.ctx.compatible_with[base_ctx] = skew
+    ctx = x.ctx
+    if not isinstance(ctx, SkewContext):
+        raise AlgebraError("phi_map needs an element over a SkewContext")
+    skew = ctx.skew
     labeling = skew.labeling
     group = labeling.group
     table = skew.graph.step_table()
@@ -165,7 +153,7 @@ def phi_map(
         slot = group._inv(group._mul(g.value, labeling.of_word(steps).value))
         return CrossedWord(NormalWord.of_steps(steps), GroupElement(group, slot))
 
-    return CrossedElement(base_ctx, labeling, {crossed_word(w): c for w, c in x.terms.items()})
+    return CrossedElement(ctx.base, labeling, {crossed_word(w): c for w, c in x.terms.items()})
 
 
 def skew_path(skew: SkewProduct, word: NormalWord, g: GroupElement) -> NormalWord:
@@ -209,7 +197,8 @@ class PsiGenerators(NamedTuple):
     chi_image: dict  # GroupElement g -> sum_v P_(v, g^-1)
 
 
-def psi_on_generators(skew: SkewProduct, skew_ctx: LeavittContext) -> PsiGenerators:
+def psi_on_generators(skew_ctx: SkewContext) -> PsiGenerators:
+    skew = skew_ctx.skew
     elements = skew.group.elements()
 
     def total(make, names):
@@ -294,14 +283,13 @@ def verify_iso(
     if sample_count < 0:
         raise ValueError(f"the sample count must be at least 0, got {sample_count}")
     elements = labeling.group.elements()  # refuses an infinite group before anything is built
-    base_ctx = LeavittContext(graph)
     skew = skew_product(graph, labeling)
-    ctx = skew_context(skew, base_ctx)
-    gens = psi_on_generators(skew, ctx)
+    ctx = SkewContext(skew, LeavittContext(graph))
+    gens = psi_on_generators(ctx)
     report = IsoReport()
 
     def check_roundtrip(x: AlgebraElement, label: str):
-        back = psi_apply(gens, phi_map(x, skew, base_ctx), ctx)
+        back = psi_apply(gens, phi_map(x), ctx)
         report.generator_checks += 1
         if back != x:
             report.failures.append(f"psi(phi({label})) != {label}")
@@ -320,21 +308,21 @@ def verify_iso(
         w2 = random_normal_word(rng, ctx, max_len=4)
         x = from_word(ctx, w1)
         y = from_word(ctx, w2)
-        phi_x = phi_map(x, skew, base_ctx)  # shared by all three identities
-        lhs = phi_map(x * y, skew, base_ctx)
-        rhs = crossed_mul(phi_x, phi_map(y, skew, base_ctx))
+        phi_x = phi_map(x)  # shared by all three identities
+        lhs = phi_map(x * y)
+        rhs = crossed_mul(phi_x, phi_map(y))
         report.sample_checks += 1
         if lhs != rhs:
             report.failures.append(
                 f"phi not multiplicative on {w1.literal()} , {w2.literal()}"
             )
-        star_lhs = phi_map(x.star(), skew, base_ctx)
+        star_lhs = phi_map(x.star())
         star_rhs = crossed_star(phi_x)
         report.sample_checks += 1
         if star_lhs != star_rhs:
             report.failures.append(f"phi not star-preserving on {w1.literal()}")
         z = rng.choice(elements)
-        moved = phi_map(induced_automorphism(translation[z], x), skew, base_ctx)
+        moved = phi_map(induced_automorphism(translation[z], x))
         expected = slot_translate(phi_x, z)
         report.sample_checks += 1
         if moved != expected:

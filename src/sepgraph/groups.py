@@ -488,16 +488,6 @@ class GraphAction(NamedTuple):
         return problems, vertex_class, carrier, edge_class
 
 
-def check_action(action: GraphAction, graph: SeparatedGraph) -> list:
-    """Everything wrong with an action table: empty iff it is an action (:meth:`GraphAction.walk`)."""
-    return action.walk(graph)[0]
-
-
-def is_free(action: GraphAction, graph: SeparatedGraph) -> bool:
-    """True iff no nontrivial group element fixes a vertex: every vertex orbit has |G| members."""
-    return len(quotient_graph(graph, action).graph.vertices) * action.group.order == len(graph.vertices)
-
-
 def translation_action(skew: SkewProduct) -> GraphAction:
     """The free action of the group on its own skew product, g.(x,h) = (x,gh),
     held by the entries of the group's generators."""

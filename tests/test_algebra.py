@@ -18,7 +18,6 @@ from sepgraph.algebra import (
     forbidden_pair,
     from_word,
     induced_automorphism,
-    is_normal,
     parse_element,
     rebase,
     reduce_word,
@@ -46,6 +45,7 @@ from sepgraph.sampling import (
 )
 
 from nonabelian import S3
+from words import is_normal
 
 
 def bouquet(n):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sepgraph import algebra, crossed, scalars
+from sepgraph import algebra, scalars
 from sepgraph.algebra import (
     AlgebraElement,
     AlgebraError,
@@ -17,14 +17,13 @@ from sepgraph.algebra import (
 from sepgraph.crossed import (
     CrossedElement,
     CrossedWord,
-    compatible_ex_choice,
+    SkewContext,
     crossed_mul,
     crossed_star,
     phi_inverse_word,
     phi_map,
     psi_apply,
     psi_on_generators,
-    skew_context,
     slot_translate,
     verify_iso,
 )
@@ -267,15 +266,15 @@ def test_star_is_an_antihomomorphism_on_samples():
 
 def test_phi_on_vertex_generators():
     group, labeling, ctx, skew = loop_setup()
-    sctx = skew_context(skew, ctx)
+    sctx = SkewContext(skew, ctx)
     for g in group.elements():
         x = vertex_element(sctx, skew.vertex_name[("v", g)])
-        assert phi_map(x, skew, ctx) == vert(ctx, "v", g.inverse(), labeling)
+        assert phi_map(x) == vert(ctx, "v", g.inverse(), labeling)
 
 
 def test_phi_on_edge_generators():
     group, labeling, ctx, skew = loop_setup(3)
-    sctx = skew_context(skew, ctx)
+    sctx = SkewContext(skew, ctx)
     for g in group.elements():
         x = edge_element(sctx, skew.edge_name[("a", g)])
         expected = crossed_element(
@@ -284,7 +283,7 @@ def test_phi_on_edge_generators():
             NormalWord.of_steps((SignedEdge("a"),)),
             (g * labeling.of("a")).inverse(),
         )
-        assert phi_map(x, skew, ctx) == expected
+        assert phi_map(x) == expected
 
 
 def test_phi_with_trivial_group_reindexes():
@@ -292,10 +291,10 @@ def test_phi_with_trivial_group_reindexes():
     labeling = Labeling(group, {"a": group.identity()})
     ctx = LeavittContext(LOOP)
     skew = skew_product(LOOP, labeling)
-    sctx = skew_context(skew, ctx)
+    sctx = SkewContext(skew, ctx)
     ident = group.identity()
     x = edge_element(sctx, skew.edge_name[("a", ident)])
-    image = phi_map(x, skew, ctx)
+    image = phi_map(x)
     assert image == crossed_element(
         ctx, labeling, NormalWord.of_steps((SignedEdge("a"),)), ident
     )
@@ -306,70 +305,65 @@ def test_phi_is_a_bijection_of_basis_words():
     labeling = Labeling(group, {e.id: group.element(i) for i, e in enumerate(FOUR.edges)})
     ctx = LeavittContext(FOUR)
     skew = skew_product(FOUR, labeling)
-    sctx = skew_context(skew, ctx)
+    sctx = SkewContext(skew, ctx)
     rng = random.Random(7)
     for _ in range(50):
         word = random_normal_word(rng, sctx, max_len=4)
-        image = phi_map(from_word(sctx, word), skew, ctx)
+        image = phi_map(from_word(sctx, word))
         (crossed_word,) = image.terms
         assert phi_inverse_word(crossed_word, skew) == word
 
 
-def test_phi_requires_the_compatible_choice():
-    group, labeling, ctx, _ = loop_setup()
-    graph = SeparatedGraph(
-        ["v"], [("e1", "v", "v"), ("e2", "v", "v")], {"v": [["e1", "e2"]]}
+def four_z3_off_default():
+    """FOUR x Z/3 under the base choice x2, y2, which is not the default x1, y1."""
+    labeling = Labeling(Z3, {e.id: Z3.element(i) for i, e in enumerate(FOUR.edges)})
+    base_ctx = LeavittContext(FOUR, {("v", 0): "x2", ("v", 1): "y2"})
+    skew = skew_product(FOUR, labeling)
+    return labeling, base_ctx, skew, SkewContext(skew, base_ctx)
+
+
+def test_phi_needs_a_skew_context():
+    labeling, base_ctx, skew, sctx = four_z3_off_default()
+    for g in Z3.elements():  # the chosen edge of the cell X x {g} is (e_X, g)
+        for i in range(len(FOUR.cells("v"))):
+            chosen = sctx.chosen(skew.vertex_name[("v", g)], i)
+            assert skew.edge_pair[chosen] == (base_ctx.chosen("v", i), g)
+    name = skew.vertex_name[("v", Z3.identity())]
+    plain = LeavittContext(skew.graph, sctx.ex_choice)
+    flipped = dict(sctx.ex_choice)
+    flipped[(name, 0)] = skew.edge_name[("x1", Z3.identity())]
+    assert plain.same_context(sctx) and flipped != sctx.ex_choice
+    for x in (
+        vertex_element(plain, name),
+        vertex_element(LeavittContext(skew.graph, flipped), name),
+        vertex_element(base_ctx, "v"),
+    ):
+        with pytest.raises(AlgebraError, match="phi_map needs an element over a SkewContext"):
+            phi_map(x)
+    assert phi_map(vertex_element(sctx, name)) == vert(base_ctx, "v", Z3.identity(), labeling)
+
+
+def test_skew_context_refuses_a_base_context_over_another_graph():
+    # same vertex and edge ids, but the edges run v -> w: phi of x * x over it
+    # would disagree with the crossed product of phi(x) with itself
+    loops = SeparatedGraph(["v"], [("e1", "v", "v"), ("e2", "v", "v")], {"v": [["e1", "e2"]]})
+    other = SeparatedGraph(
+        ["v", "w"], [("e1", "v", "w"), ("e2", "v", "w")], {"v": [["e1", "e2"]], "w": []}
     )
-    base_ctx = LeavittContext(graph)
-    labeling = Labeling(Z2, {"e1": Z2.element(1), "e2": Z2.element(0)})
-    skew = skew_product(graph, labeling)
-    bad_choice = dict(compatible_ex_choice(skew, base_ctx))
-    name = skew.vertex_name[("v", Z2.element(0))]
-    bad_choice[(name, 0)] = skew.edge_name[("e2", Z2.element(0))]
-    bad_ctx = LeavittContext(skew.graph, bad_choice)
-    x = vertex_element(bad_ctx, name)
-    with pytest.raises(Exception, match="incompatible"):
-        phi_map(x, skew, base_ctx)
+    skew = skew_product(loops, Labeling(Z2, {"e1": Z2.element(1), "e2": Z2.element(0)}))
+    with pytest.raises(AlgebraError, match="base context does not live over"):
+        SkewContext(skew, LeavittContext(other))
 
 
-def test_phi_compatibility_memo_is_scoped_to_the_contexts(monkeypatch):
-    graph = SeparatedGraph(
-        ["v"], [("e1", "v", "v"), ("e2", "v", "v")], {"v": [["e1", "e2"]]}
-    )
-    base_ctx = LeavittContext(graph)
-    labeling = Labeling(Z2, {"e1": Z2.element(1), "e2": Z2.element(0)})
-    skew = skew_product(graph, labeling)
-    checks = []
-    full_check = crossed._check_compatible
-
-    def counted(*args):
-        checks.append(args)
-        return full_check(*args)
-
-    monkeypatch.setattr(crossed, "_check_compatible", counted)
-    name = skew.vertex_name[("v", Z2.element(0))]
-    good_ctx = skew_context(skew, base_ctx)
-    x = vertex_element(good_ctx, name)
-    assert phi_map(x, skew, base_ctx) == phi_map(x, skew, base_ctx)
-    assert len(checks) == 1
-    # an equal skew product that is another object gets the full check
-    twin = skew_product(graph, labeling)
-    assert twin.graph == skew.graph and twin is not skew
-    phi_map(x, twin, base_ctx)
-    assert len(checks) == 2
-    # a fresh context over the same graph with one cell's choice flipped
-    bad_choice = dict(good_ctx.ex_choice)
-    flipped = bad_choice[(name, 0)] = skew.edge_name[("e2", Z2.element(0))]
-    bad_ctx = LeavittContext(skew.graph, bad_choice)
-    message = (
-        f"incompatible choice on the skew product: cell 0 at {name!r} chooses "
-        f"{flipped!r}, not the fiber copy of the base choice {good_ctx.ex_choice[(name, 0)]!r}"
-    )
-    for _ in range(2):  # a failed check is not remembered
-        with pytest.raises(AlgebraError) as err:
-            phi_map(vertex_element(bad_ctx, name), skew, base_ctx)
-        assert str(err.value) == message
-    assert len(checks) == 4
+def test_dictionary_over_a_non_default_base_choice():
+    _, _, _, sctx = four_z3_off_default()
+    rng = random.Random(17)
+    for _ in range(200):
+        x = from_word(sctx, random_normal_word(rng, sctx, max_len=4))
+        y = from_word(sctx, random_normal_word(rng, sctx, max_len=4))
+        phi_x = phi_map(x)
+        assert phi_map(x * y) == crossed_mul(phi_x, phi_map(y))
+        assert phi_map(x.star()) == crossed_star(phi_x)
 
 
 # -- the inverse pair -------------------------------------------------------------------
@@ -380,24 +374,24 @@ def test_psi_images_for_the_trivial_group():
     labeling = Labeling(group, {"a": group.identity()})
     ctx = LeavittContext(LOOP)
     skew = skew_product(LOOP, labeling)
-    sctx = skew_context(skew, ctx)
-    gens = psi_on_generators(skew, sctx)
+    sctx = SkewContext(skew, ctx)
+    gens = psi_on_generators(sctx)
     ident = group.identity()
     assert gens.edge_image["a"] == edge_element(sctx, skew.edge_name[("a", ident)])
 
 
 def test_psi_vertex_image_sums_fibers():
     group, labeling, ctx, skew = loop_setup()
-    sctx = skew_context(skew, ctx)
-    gens = psi_on_generators(skew, sctx)
+    sctx = SkewContext(skew, ctx)
+    gens = psi_on_generators(sctx)
     expected = vertex_element(sctx, "v@0") + vertex_element(sctx, "v@1")
     assert gens.vertex_image["v"] == expected
 
 
 def test_psi_slot_indicators_are_orthogonal():
     group, labeling, ctx, skew = loop_setup()
-    sctx = skew_context(skew, ctx)
-    gens = psi_on_generators(skew, sctx)
+    sctx = SkewContext(skew, ctx)
+    gens = psi_on_generators(sctx)
     h0, h1 = group.elements()
     assert (gens.chi_image[h0] * gens.chi_image[h1]).is_zero
     assert gens.chi_image[h0] * gens.chi_image[h0] == gens.chi_image[h0]
@@ -414,15 +408,15 @@ def test_psi_needs_a_finite_group():
 
 def test_psi_inverts_phi_on_generators():
     group, labeling, ctx, skew = loop_setup(3)
-    sctx = skew_context(skew, ctx)
-    gens = psi_on_generators(skew, sctx)
+    sctx = SkewContext(skew, ctx)
+    gens = psi_on_generators(sctx)
     for g in group.elements():
         for build, name in (
             (vertex_element, skew.vertex_name[("v", g)]),
             (edge_element, skew.edge_name[("a", g)]),
         ):
             x = build(sctx, name)
-            assert psi_apply(gens, phi_map(x, skew, ctx), sctx) == x
+            assert psi_apply(gens, phi_map(x), sctx) == x
 
 
 def test_psi_inverts_phi_on_starred_edges():
@@ -436,11 +430,11 @@ def test_psi_inverts_phi_on_starred_edges():
     labeling = Labeling(Z3, {eid: Z3.element(k) for eid, k in labels.items()})
     ctx = LeavittContext(fig5)
     skew = skew_product(fig5, labeling)
-    sctx = skew_context(skew, ctx)
-    gens = psi_on_generators(skew, sctx)
+    sctx = SkewContext(skew, ctx)
+    gens = psi_on_generators(sctx)
     starred = [edge_element(sctx, name, star=True) for name in skew.edge_pair]
     assert len(starred) == 12
-    assert all(psi_apply(gens, phi_map(x, skew, ctx), sctx) == x for x in starred)
+    assert all(psi_apply(gens, phi_map(x), sctx) == x for x in starred)
 
 
 # -- slot translation ---------------------------------------------------------------------
@@ -448,7 +442,7 @@ def test_psi_inverts_phi_on_starred_edges():
 
 def test_slot_translation_matches_the_graph_translation():
     group, labeling, ctx, skew = loop_setup(3)
-    sctx = skew_context(skew, ctx)
+    sctx = SkewContext(skew, ctx)
     from sepgraph.algebra import induced_automorphism
     from sepgraph.groups import translation_action
 
@@ -458,8 +452,8 @@ def test_slot_translation_matches_the_graph_translation():
         word = random_normal_word(rng, sctx, max_len=3)
         x = from_word(sctx, word)
         z = rng.choice(group.elements())
-        lhs = phi_map(induced_automorphism(morphisms[z], x), skew, ctx)
-        rhs = slot_translate(phi_map(x, skew, ctx), z)
+        lhs = phi_map(induced_automorphism(morphisms[z], x))
+        rhs = slot_translate(phi_map(x), z)
         assert lhs == rhs
 
 
@@ -470,7 +464,7 @@ def test_phi_pushes_the_free_label_forward():
     labeling = Labeling(group, {e.id: group.element(i) for i, e in enumerate(FOUR.edges)})
     ctx = LeavittContext(FOUR)
     skew = skew_product(FOUR, labeling)
-    sctx = skew_context(skew, ctx)
+    sctx = SkewContext(skew, ctx)
     from sepgraph.algebra import word_degree
     from sepgraph.groups import free_labeling
 
@@ -479,7 +473,7 @@ def test_phi_pushes_the_free_label_forward():
     rng = random.Random(13)
     for _ in range(30):
         word = random_normal_word(rng, sctx, max_len=4)
-        image = phi_map(from_word(sctx, word), skew, ctx)
+        image = phi_map(from_word(sctx, word))
         (crossed_word,) = image.terms
         lifted = word_degree(word, skew_free)
         projected = base_free.group.element(

@@ -13,6 +13,7 @@ from sepgraph.graphs import (
     SignedEdge,
     check_isomorphism,
     isomorphism_violations,
+    quotient_graph,
     skew_product,
 )
 from sepgraph.groups import (
@@ -26,13 +27,11 @@ from sepgraph.groups import (
     action_from_json,
     action_to_json,
     cayley_separated_graph,
-    check_action,
     free_labeling,
     gross_tucker,
     group_from_json,
     group_to_json,
     is_equivariant_iso,
-    is_free,
     labeling_from_json,
     labeling_to_json,
     translation_action,
@@ -43,6 +42,11 @@ from nonabelian import S3, exponents
 
 F2 = FreeGroup(("a", "b"))
 Z3 = CyclicGroup(3)
+
+
+def is_free(action: GraphAction, graph: SeparatedGraph) -> bool:
+    """True iff no nontrivial group element fixes a vertex: every vertex orbit has |G| members."""
+    return len(quotient_graph(graph, action).graph.vertices) * action.group.order == len(graph.vertices)
 
 
 # -- element arithmetic ---------------------------------------------------------
@@ -346,7 +350,7 @@ def test_trivial_action_is_free():
     one = CyclicGroup(1)
     ident = GraphMorphism({v: v for v in graph.vertices}, {e.id: e.id for e in graph.edges})
     action = GraphAction(one, {one.identity(): ident})
-    assert check_action(action, graph) == []
+    assert action.walk(graph)[0] == []
     assert is_free(action, graph)
 
 
@@ -354,7 +358,7 @@ def test_translation_action_is_free():
     z3 = CyclicGroup(3)
     cayley = cayley_separated_graph(z3, [z3.element(1)])
     action = translation_action(cayley)
-    assert check_action(action, cayley.graph) == []
+    assert action.walk(cayley.graph)[0] == []
     assert is_free(action, cayley.graph)
 
 
@@ -368,7 +372,7 @@ def test_homomorphism_violation_is_caught():
             z2.element(1): action.table[z2.element(1)],
         },
     )
-    assert check_action(broken, graph)
+    assert broken.walk(graph)[0]
 
 
 def test_emn_admits_no_free_action():
@@ -382,10 +386,10 @@ def test_emn_admits_no_free_action():
     z2 = CyclicGroup(2)
     ident = GraphMorphism({"v": "v", "w": "w"}, {e.id: e.id for e in emn.edges})
     swap_vertices = GraphMorphism({"v": "w", "w": "v"}, {e.id: e.id for e in emn.edges})
-    assert check_action(GraphAction(z2, {z2.element(0): ident, z2.element(1): swap_vertices}), emn)
+    assert GraphAction(z2, {z2.element(0): ident, z2.element(1): swap_vertices}).walk(emn)[0]
     swap_edges = GraphMorphism({"v": "v", "w": "w"}, {"e1": "e2", "e2": "e1", "f1": "f1"})
     action = GraphAction(z2, {z2.element(0): ident, z2.element(1): swap_edges})
-    assert check_action(action, emn) == []
+    assert action.walk(emn)[0] == []
     assert not is_free(action, emn)
 
 
@@ -452,7 +456,7 @@ def test_gross_tucker_on_a_nonabelian_cayley_graph():
     group = S3()
     cayley = cayley_separated_graph(group, group.generating_set())
     action = translation_action(cayley)
-    assert check_action(action, cayley.graph) == []
+    assert action.walk(cayley.graph)[0] == []
     result = gross_tucker(cayley.graph, action)
     assert sorted(result.labeling.by_edge.values(), key=str) == sorted(group.generating_set(), key=str)
     assert check_isomorphism(result.iso, result.skew.graph, cayley.graph)
@@ -498,7 +502,7 @@ def test_is_equivariant_iso_reads_every_generator():
     ident = GraphMorphism({v: v for v in cayley.graph.vertices}, {e.id: e.id for e in cayley.graph.edges})
     for s in group.generating_set():
         one_factor = GraphAction(group, {**action.table, s: ident})
-        assert check_action(one_factor, cayley.graph) == []
+        assert one_factor.walk(cayley.graph)[0] == []
         assert not is_equivariant_iso(result, one_factor)
 
 
@@ -507,10 +511,10 @@ def test_generators_whose_maps_break_a_relation_are_caught():
     # to no identity; over Z/3, a 2-cycle clashes at once
     cycle = SeparatedGraph("abcd", [], {})
     four = GraphMorphism(dict(zip("abcd", "bcda")), {})
-    assert check_action(GraphAction(CyclicGroup(2), {CyclicGroup(2).element(1): four}), cycle)
+    assert GraphAction(CyclicGroup(2), {CyclicGroup(2).element(1): four}).walk(cycle)[0]
     two = GraphMorphism(dict(zip("abcd", "badc")), {})
-    assert check_action(GraphAction(CyclicGroup(3), {CyclicGroup(3).element(1): two}), cycle)
-    assert check_action(GraphAction(CyclicGroup(4), {CyclicGroup(4).element(1): two}), cycle) == []
+    assert GraphAction(CyclicGroup(3), {CyclicGroup(3).element(1): two}).walk(cycle)[0]
+    assert GraphAction(CyclicGroup(4), {CyclicGroup(4).element(1): two}).walk(cycle)[0] == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -657,7 +661,7 @@ def test_generator_check_agrees_with_the_all_pairs_oracle(group, graph_kind, tab
     rng = random.Random(seed)
     skew = random_skew(rng, group, graph_kind)
     action = GraphAction(group, random_table(rng, skew, table_kind))
-    assert (check_action(action, skew.graph) == []) == all_pairs_oracle(action, skew.graph)
+    assert (action.walk(skew.graph)[0] == []) == all_pairs_oracle(action, skew.graph)
 
 
 def test_the_free_action_round_trip_costs_linear_work_in_the_group_order(monkeypatch):
@@ -707,7 +711,7 @@ def test_a_trivial_action_on_many_orbits_costs_linear_work(monkeypatch):
         graph = SeparatedGraph(points, [], {})
         monkeypatch.setattr(groups.GroupElement, "__mul__", counted_mul)
         count[0] = 0
-        assert check_action(action, graph) == []
+        assert action.walk(graph)[0] == []
         monkeypatch.undo()
         return count[0]
 
@@ -720,7 +724,7 @@ def test_an_infinite_group_is_refused_by_elements_alone():
     z = IntegerGroup()
     infinite = GraphAction(z, {z.element(1): action.table[CyclicGroup(2).element(1)]})
     calls = [z.generating_set, infinite.morphisms, lambda: action_to_json(infinite),
-             lambda: check_action(infinite, graph), lambda: cayley_separated_graph(F2, [F2.generator("a")])]
+             lambda: infinite.walk(graph)[0], lambda: cayley_separated_graph(F2, [F2.generator("a")])]
     for call in calls:
         with pytest.raises(GroupError, match=r"^'(z|free\(a,b\))' is not finite; cannot enumerate its elements"):
             call()
@@ -729,7 +733,7 @@ def test_an_infinite_group_is_refused_by_elements_alone():
 def test_a_long_list_of_missing_entries_is_cut():
     group = ProductGroup((CyclicGroup(2),) * 8)  # eight generators, none in the table
     shown = ", ".join(repr("(" + ",".join("1" if j == i else "0" for j in range(8)) + ")") for i in range(5))
-    problems = check_action(GraphAction(group, {}), GRAPH)
+    problems = GraphAction(group, {}).walk(GRAPH)[0]
     assert problems == [f"action table is missing entries for [{shown}] and 3 more"]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sepgraph.algebra import LeavittContext, NormalWord, is_normal
+from sepgraph.algebra import LeavittContext, NormalWord
 from sepgraph.graphs import SeparatedGraph
 from sepgraph.groups import bouquet_graph
 from sepgraph.sampling import (
@@ -15,6 +15,8 @@ from sepgraph.sampling import (
     random_normal_word,
     random_separated_graph,
 )
+
+from words import is_normal
 
 # The first 40 draws of random_normal_word(random.Random(2024), ctx, max_len=6)
 # per graph, as word literals.  Seeded runs (selftest, verify-crossed-iso, the
