@@ -99,8 +99,8 @@ class LeavittContext:
     smallest edge id in each cell.  The graph's step table is shared by every
     context over it; a context adds only its set of chosen edges and the
     expectation's memo from a term's word to its N (bounded: past
-    ``expectation.MEMO_ENTRIES`` words it drops its oldest).  A
-    ``crossed.SkewContext`` fixes the fiberwise choice on a skew product.
+    ``expectation.MEMO_ENTRIES`` words it drops its oldest).  Contexts of two
+    types, as a ``crossed.SkewContext`` and a plain one, never mix.
     """
 
     __slots__ = ("graph", "ex_choice", "_chosen", "expect_cache")
@@ -122,7 +122,9 @@ class LeavittContext:
         self.expect_cache = OrderedDict()
 
     def same_context(self, other: "LeavittContext") -> bool:
-        return self is other or (self.graph == other.graph and self.ex_choice == other.ex_choice)
+        return self is other or (
+            type(self) is type(other) and self.graph == other.graph and self.ex_choice == other.ex_choice
+        )
 
     def chosen(self, v: str, index: int) -> str:
         return self.ex_choice[(v, index)]
@@ -381,10 +383,10 @@ class AlgebraElement(LinearCombination):
         return _owned(self.ctx, {w.adjoint(): c.conjugate() for w, c in self.terms.items()})
 
 
-def _owned(ctx: LeavittContext, terms: dict) -> AlgebraElement:
-    """An element over ``terms`` as it is, without the constructor's copy and
-    filter: the caller hands over a dict of its own that holds no zero."""
-    x = object.__new__(AlgebraElement)
+def _owned(ctx: LeavittContext, terms: dict, cls=AlgebraElement) -> LinearCombination:
+    """A ``cls`` over ``terms`` as it is, without the constructor's copy and filter: the
+    caller hands over a dict of its own that holds no zero, and sets any slot ``cls`` adds."""
+    x = object.__new__(cls)
     x.ctx, x.terms = ctx, terms
     return x
 

@@ -28,11 +28,11 @@ from .algebra import (
     LeavittContext,
     LinearCombination,
     NormalWord,
+    _owned,
     accumulate,
     edge_element,
     from_word,
     induced_automorphism,
-    sum_of,
     vertex_element,
     word_degree,
 )
@@ -40,7 +40,7 @@ from .graphs import GraphError, SignedEdge, SkewProduct, skew_product
 from .groups import GroupElement, Labeling, translation_action
 from .sampling import random_normal_word
 
-MAX_SAMPLES = 10**5  # about 0.2 ms a sample: 20 s, inside the 30 s budget README states
+MAX_SAMPLES = 10**5  # about 0.1 ms a sample: 10 s, inside the 30 s budget README states
 # the largest group order verify-crossed-iso takes: its fixed part grows about as the
 # square of the order, and at 1,000 a run of MAX_SAMPLES samples stays inside the same budget
 MAX_GROUP_ORDER = 1000
@@ -78,32 +78,40 @@ class CrossedElement(LinearCombination):
         return CrossedElement(ctx, self.labeling, terms)
 
 
+def _owned_crossed(ctx: LeavittContext, labeling: Labeling, terms: dict) -> CrossedElement:
+    """:func:`algebra._owned` for a crossed element: ``terms`` holds no zero."""
+    x = _owned(ctx, terms, CrossedElement)
+    x.labeling = labeling
+    return x
+
+
 def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     """The covariance product, bilinear over crossed words."""
     x._require_same_context(y)
     ctx = x.ctx
     labeling = x.labeling
+    by_slot = {}  # deg(b') h' -> the right terms (b', h') with it, as (h', b' as an element)
+    for cw2, c2 in y.terms.items():
+        shifted = word_degree(cw2.word, labeling) * cw2.slot
+        by_slot.setdefault(shifted, []).append((cw2.slot, _owned(ctx, {cw2.word: c2})))
     acc = {}
     for cw1, c1 in x.terms.items():
-        for cw2, c2 in y.terms.items():
-            if cw1.slot != word_degree(cw2.word, labeling) * cw2.slot:
-                continue
+        left = _owned(ctx, {cw1.word: c1})
+        for slot, right in by_slot.get(cw1.slot, ()):
             # crossed words hold normal words, so they multiply as they are
-            left = AlgebraElement(ctx, {cw1.word: c1 * c2})
-            product = left * AlgebraElement(ctx, {cw2.word: scalars.ONE})
-            accumulate(acc, ((CrossedWord(w, cw2.slot), c) for w, c in product.terms.items()))
-    return CrossedElement(ctx, labeling, acc)
+            accumulate(acc, ((CrossedWord(w, slot), c) for w, c in (left * right).terms.items()))
+    return _owned_crossed(ctx, labeling, acc)
 
 
 def crossed_star(x: CrossedElement) -> CrossedElement:
-    """The conjugate-linear involution (b, h) -> (b*, deg(b) h)."""
-    ctx = x.ctx
-    out = {}
-    for cw, c in x.terms.items():
-        starred = AlgebraElement(ctx, {cw.word: c}).star()
-        slot = word_degree(cw.word, x.labeling) * cw.slot
-        accumulate(out, ((CrossedWord(w, slot), sc) for w, sc in starred.terms.items()))
-    return CrossedElement(ctx, x.labeling, out)
+    """The conjugate-linear involution (b, h) -> (b*, deg(b) h).  The adjoint is a
+    bijection of normal words, so no two terms meet."""
+    labeling = x.labeling
+    out = {
+        CrossedWord(cw.word.adjoint(), word_degree(cw.word, labeling) * cw.slot): c.conjugate()
+        for cw, c in x.terms.items()
+    }
+    return _owned_crossed(x.ctx, labeling, out)
 
 
 # -- the skew-product isomorphism on basis elements ------------------------------
@@ -112,48 +120,46 @@ def crossed_star(x: CrossedElement) -> CrossedElement:
 class SkewContext(LeavittContext):
     """A context over a skew product whose choice is the fiber copy of a base
     context's: the chosen edge of the cell X x {g} is (e_X, g).  It is the one
-    context :func:`phi_map` accepts, and it carries the skew product and the
-    base context that the map needs."""
+    context :func:`phi_map` accepts, and it carries the skew product, the base
+    context and the map's two tables: each skew letter's base letter, and each
+    skew vertex (v, g)'s image (v, g^-1)."""
 
-    __slots__ = ("skew", "base")
+    __slots__ = ("skew", "base", "_letter", "_end")
 
     def __init__(self, skew: SkewProduct, base: LeavittContext):
         if base.graph != skew.base:
             raise AlgebraError("the base context does not live over the skew product's base graph")
-        choice = {}
+        choice, letter, end = {}, {}, {}
         for (v, g), name in skew.vertex_name.items():
+            end[name] = CrossedWord(NormalWord.of_vertex(v), g.inverse())
             for i in range(len(skew.base.cells(v))):
                 choice[(name, i)] = skew.edge_name[(base.chosen(v, i), g)]
+        for name, (e, _) in skew.edge_pair.items():
+            letter[SignedEdge(name)], letter[SignedEdge(name, True)] = SignedEdge(e), SignedEdge(e, True)
         super().__init__(skew.graph, choice)
-        self.skew, self.base = skew, base
+        self.skew, self.base, self._letter, self._end = skew, base, letter, end
 
 
 def phi_map(x: AlgebraElement) -> CrossedElement:
     """Carry a skew-product algebra element onto the crossed product.
 
-    A basis word starting at the fiber vertex (v, g) and projecting to the
-    base word s goes to (s, (g c(s))^-1); this is a linear bijection of bases
-    under the fiberwise choice, so ``x`` must live over a :class:`SkewContext`.
+    A basis word projecting to the base word s runs from the fiber g to the fiber
+    g c(s), and goes to (s, (g c(s))^-1), the inverse of the fiber of its range.  This
+    is a linear bijection of bases under the fiberwise choice, so ``x`` must live over
+    a :class:`SkewContext`.
     """
     ctx = x.ctx
     if not isinstance(ctx, SkewContext):
         raise AlgebraError("phi_map needs an element over a SkewContext")
-    skew = ctx.skew
-    labeling = skew.labeling
-    group = labeling.group
-    table = skew.graph.step_table()
-
-    def crossed_word(word: NormalWord) -> CrossedWord:
-        if word.is_vertex:
-            v, g = skew.vertex_pair[word.vertex]
-            return CrossedWord(NormalWord.of_vertex(v), g.inverse())
-        _, g = skew.vertex_pair[table[word.steps[0]][0]]
-        steps = tuple(SignedEdge(skew.edge_pair[s.edge][0], s.star) for s in word.steps)
-        # (g c(s))^-1 on raw values
-        slot = group._inv(group._mul(g.value, labeling.of_word(steps).value))
-        return CrossedWord(NormalWord.of_steps(steps), GroupElement(group, slot))
-
-    return CrossedElement(ctx.base, labeling, {crossed_word(w): c for w, c in x.terms.items()})
+    table, letter, end = ctx.graph.step_table(), ctx._letter, ctx._end
+    terms = {}
+    for w, c in x.terms.items():
+        if w.vertex is not None:
+            terms[end[w.vertex]] = c
+        else:
+            slot = end[table[w.steps[-1]][1]].slot
+            terms[CrossedWord(NormalWord(None, tuple(map(letter.__getitem__, w.steps))), slot)] = c
+    return _owned_crossed(ctx.base, ctx.skew.labeling, terms)
 
 
 def skew_path(skew: SkewProduct, word: NormalWord, g: GroupElement) -> NormalWord:
@@ -201,19 +207,19 @@ def psi_on_generators(skew_ctx: SkewContext) -> PsiGenerators:
     skew = skew_ctx.skew
     elements = skew.group.elements()
 
-    def total(make, names):
-        return sum_of(skew_ctx, (make(skew_ctx, name) for name in names))
+    def total(words):  # distinct basis words, each with coefficient 1
+        return _owned(skew_ctx, dict.fromkeys(words, scalars.ONE))
 
     vertex_image = {
-        v: total(vertex_element, (skew.vertex_name[(v, g)] for g in elements))
+        v: total(NormalWord.of_vertex(skew.vertex_name[(v, g)]) for g in elements)
         for v in skew.base.vertices
     }
     edge_image = {
-        e.id: total(edge_element, (skew.edge_name[(e.id, g)] for g in elements))
+        e.id: total(NormalWord.of_steps((SignedEdge(skew.edge_name[(e.id, g)]),)) for g in elements)
         for e in skew.base.edges
     }
     chi_image = {
-        g: total(vertex_element, (skew.vertex_name[(v, g.inverse())] for v in skew.base.vertices))
+        g: total(NormalWord.of_vertex(skew.vertex_name[(v, g.inverse())]) for v in skew.base.vertices)
         for g in elements
     }
     return PsiGenerators(vertex_image, edge_image, chi_image)
@@ -221,7 +227,7 @@ def psi_on_generators(skew_ctx: SkewContext) -> PsiGenerators:
 
 def psi_apply(gens: PsiGenerators, x: CrossedElement, skew_ctx: LeavittContext) -> AlgebraElement:
     """Evaluate the inverse covariant pair on a crossed element."""
-    images = []
+    acc = {}
     for cw, coeff in x.terms.items():
         if cw.word.is_vertex:
             value = gens.vertex_image[cw.word.vertex]
@@ -232,8 +238,8 @@ def psi_apply(gens: PsiGenerators, x: CrossedElement, skew_ctx: LeavittContext) 
                 if s.star:
                     factor = factor.star()
                 value = factor if value is None else value * factor
-        images.append((value * gens.chi_image[cw.slot]).scale(coeff))
-    return sum_of(skew_ctx, images)
+        accumulate(acc, ((w, c * coeff) for w, c in (value * gens.chi_image[cw.slot]).terms.items()))
+    return _owned(skew_ctx, acc)
 
 
 def slot_translate(x: CrossedElement, z: GroupElement) -> CrossedElement:
@@ -288,21 +294,21 @@ def verify_iso(
     gens = psi_on_generators(ctx)
     report = IsoReport()
 
-    def check_roundtrip(x: AlgebraElement, label: str):
+    def check_roundtrip(x: AlgebraElement, name: str, item: str, g: GroupElement):
         back = psi_apply(gens, phi_map(x), ctx)
         report.generator_checks += 1
         if back != x:
-            report.failures.append(f"psi(phi({label})) != {label}")
+            report.failures.append(f"psi(phi({name}_({item},{g}))) != {name}_({item},{g})")
 
     for v in graph.vertices:
         for g in elements:
-            check_roundtrip(vertex_element(ctx, skew.vertex_name[(v, g)]), f"P_({v},{g})")
+            check_roundtrip(vertex_element(ctx, skew.vertex_name[(v, g)]), "P", v, g)
     for e in graph.edges:
         for g in elements:
-            check_roundtrip(edge_element(ctx, skew.edge_name[(e.id, g)]), f"S_({e.id},{g})")
+            check_roundtrip(edge_element(ctx, skew.edge_name[(e.id, g)]), "S", e.id, g)
 
     rng = random.Random(seed)
-    translation = translation_action(skew).morphisms()
+    translation = translation_action(skew).morphisms() if sample_count else None
     for _ in range(sample_count):
         w1 = random_normal_word(rng, ctx, max_len=4)
         w2 = random_normal_word(rng, ctx, max_len=4)

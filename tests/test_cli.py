@@ -8,7 +8,7 @@ import pytest
 from sepgraph import cli, selftest
 from sepgraph.cli import main
 from sepgraph.crossed import MAX_GROUP_ORDER, MAX_SAMPLES, IsoReport
-from sepgraph.groups import MAX_NESTING, MAX_ORDER
+from sepgraph.groups import MAX_NESTING, MAX_ORDER, GraphAction
 from sepgraph.selftest import CriterionResult
 
 A2 = {
@@ -333,6 +333,19 @@ def test_verify_crossed_iso(capsys, a2_file, tmp_path):
     )
     assert code == 0
     assert out.startswith("PASS")
+
+
+def test_verify_crossed_iso_without_samples_builds_no_translation_morphisms(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("morphisms called")
+
+    monkeypatch.setattr(GraphAction, "morphisms", refuse)
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    code, out, err = run(
+        capsys, "verify-crossed-iso", "--graph", os.path.join(golden, "fig5.json"),
+        "--label", os.path.join(golden, "label_fig5.json"), "--group", "zmod:6", "--samples", "0", "--seed", "1",
+    )
+    assert (code, out, err) == (0, "PASS: 48 generator identities, 0 sampled identities\n", "")
 
 
 def test_a_failed_crossed_iso_report_is_printed_and_exits_1(capsys, monkeypatch, a2_file, tmp_path):

@@ -28,7 +28,15 @@ from sepgraph.crossed import (
     verify_iso,
 )
 from sepgraph.graphs import SeparatedGraph, SignedEdge, skew_product
-from sepgraph.groups import CyclicGroup, GroupElement, GroupError, Labeling, ProductGroup
+from sepgraph.groups import (
+    CyclicGroup,
+    GraphAction,
+    GroupElement,
+    GroupError,
+    Labeling,
+    ProductGroup,
+    bouquet_graph,
+)
 from sepgraph.sampling import random_normal_word
 
 from nonabelian import S3
@@ -41,6 +49,11 @@ FOUR = SeparatedGraph(
     ["v"],
     [("x1", "v", "v"), ("x2", "v", "v"), ("y1", "v", "v"), ("y2", "v", "v")],
     {"v": [["x1", "x2"], ["y1", "y2"]]},
+)
+FIG5 = SeparatedGraph(
+    ["v", "w1", "w2", "w3"],
+    [("al1", "v", "w1"), ("al2", "v", "w2"), ("be1", "v", "w1"), ("be2", "v", "w3")],
+    {"v": [["al1", "al2"], ["be1", "be2"]]},
 )
 
 
@@ -332,7 +345,7 @@ def test_phi_needs_a_skew_context():
     plain = LeavittContext(skew.graph, sctx.ex_choice)
     flipped = dict(sctx.ex_choice)
     flipped[(name, 0)] = skew.edge_name[("x1", Z3.identity())]
-    assert plain.same_context(sctx) and flipped != sctx.ex_choice
+    assert plain.ex_choice == sctx.ex_choice and flipped != sctx.ex_choice
     for x in (
         vertex_element(plain, name),
         vertex_element(LeavittContext(skew.graph, flipped), name),
@@ -341,6 +354,25 @@ def test_phi_needs_a_skew_context():
         with pytest.raises(AlgebraError, match="phi_map needs an element over a SkewContext"):
             phi_map(x)
     assert phi_map(vertex_element(sctx, name)) == vert(base_ctx, "v", Z3.identity(), labeling)
+
+
+def test_a_skew_context_and_a_plain_one_never_mix():
+    # the same graph and choice, so only the context's type tells them apart:
+    # sums, products and equality refuse the pair in either order
+    graph = bouquet_graph(2)
+    skew = skew_product(graph, Labeling(Z2, {"a1": Z2.element(1), "a2": Z2.element(0)}))
+    sctx = SkewContext(skew, LeavittContext(graph))
+    plain = LeavittContext(skew.graph, sctx.ex_choice)
+    assert not sctx.same_context(plain) and not plain.same_context(sctx)
+    skew_side, plain_side = vertex_element(sctx, "v@0"), vertex_element(plain, "v@0")
+    for a, b in ((skew_side, plain_side), (plain_side, skew_side)):
+        assert a != b
+        for op in (operator.add, operator.mul, lambda p, q: sum_of(p.ctx, (p, q))):
+            with pytest.raises(AlgebraError, match="different"):
+                op(a, b)
+    assert phi_map(skew_side + vertex_element(sctx, "v@1")) == vert(
+        sctx.base, "v", Z2.element(0), skew.labeling
+    ) + vert(sctx.base, "v", Z2.element(1), skew.labeling)
 
 
 def test_skew_context_refuses_a_base_context_over_another_graph():
@@ -364,6 +396,56 @@ def test_dictionary_over_a_non_default_base_choice():
         phi_x = phi_map(x)
         assert phi_map(x * y) == crossed_mul(phi_x, phi_map(y))
         assert phi_map(x.star()) == crossed_star(phi_x)
+
+
+def normal_words(ctx: LeavittContext, max_len: int) -> list:
+    """Every normal word of at most ``max_len`` letters, vertex words included."""
+    graph = ctx.graph
+    words = [NormalWord.of_vertex(v) for v in graph.vertices]
+    layer = [(s,) for v in graph.vertices for s in graph.moves(v)]
+    for _ in range(max_len):
+        words += map(NormalWord.of_steps, layer)
+        layer = [
+            w + (s,)
+            for w in layer
+            for s in graph.moves(graph.range(w[-1]))
+            if not algebra.forbidden_pair(ctx, w[-1], s)
+        ]
+    return words
+
+
+def phi_oracle(skew, word: NormalWord) -> CrossedWord:
+    """phi on one basis word by the map's definition: the base word s and the slot
+    (g c(s))^-1, with g the fiber the word starts in and c(s) its label."""
+    if word.is_vertex:
+        v, g = skew.vertex_pair[word.vertex]
+        return CrossedWord(NormalWord.of_vertex(v), g.inverse())
+    _, g = skew.vertex_pair[skew.graph.source(word.steps[0])]
+    steps = tuple(SignedEdge(skew.edge_pair[s.edge][0], s.star) for s in word.steps)
+    return CrossedWord(NormalWord.of_steps(steps), (g * skew.labeling.of_word(steps)).inverse())
+
+
+def fig5_s3():
+    group = S3()
+    t, r = group.generating_set()
+    return FIG5, Labeling(group, {"al1": t, "al2": r, "be1": r, "be2": t})
+
+
+def four_z3():
+    return FOUR, Labeling(Z3, {e.id: Z3.element(i) for i, e in enumerate(FOUR.edges, start=1)})
+
+
+@pytest.mark.parametrize("case", [fig5_s3, four_z3], ids=["fig5-s3", "four-z3"])
+def test_phi_reads_the_slot_at_the_end_fiber(case):
+    graph, labeling = case()
+    skew = skew_product(graph, labeling)
+    sctx = SkewContext(skew, LeavittContext(graph))
+    words = normal_words(sctx, 3)
+    assert sum(not w.is_vertex and any(s.star for s in w.steps) for w in words) > 0
+    two = scalars.GaussianRational.of(2)
+    for word in words:
+        image = phi_map(from_word(sctx, word, two))
+        assert image.terms == {phi_oracle(skew, word): two}, word.literal()
 
 
 # -- the inverse pair -------------------------------------------------------------------
@@ -421,20 +503,114 @@ def test_psi_inverts_phi_on_generators():
 
 def test_psi_inverts_phi_on_starred_edges():
     # psi_apply's star branch: every S_(e,g)* of the Fig.-5 graph x Z/3 comes back
-    fig5 = SeparatedGraph(
-        ["v", "w1", "w2", "w3"],
-        [("al1", "v", "w1"), ("al2", "v", "w2"), ("be1", "v", "w1"), ("be2", "v", "w3")],
-        {"v": [["al1", "al2"], ["be1", "be2"]]},
-    )
     labels = {"al1": 1, "al2": 0, "be1": 1, "be2": 2}
     labeling = Labeling(Z3, {eid: Z3.element(k) for eid, k in labels.items()})
-    ctx = LeavittContext(fig5)
-    skew = skew_product(fig5, labeling)
+    ctx = LeavittContext(FIG5)
+    skew = skew_product(FIG5, labeling)
     sctx = SkewContext(skew, ctx)
     gens = psi_on_generators(sctx)
     starred = [edge_element(sctx, name, star=True) for name in skew.edge_pair]
     assert len(starred) == 12
     assert all(psi_apply(gens, phi_map(x), sctx) == x for x in starred)
+
+
+# -- results built without the constructor's filter ------------------------------------
+
+
+def random_coefficient(rng):
+    return rng.choice(
+        [scalars.ONE, -scalars.ONE, scalars.GaussianRational.of(2), scalars.GaussianRational.of(0, 1)]
+    )
+
+
+def reference_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
+    """The covariance product term pair by term pair, through the public constructors."""
+    out = CrossedElement(x.ctx, x.labeling, {})
+    for cw1, c1 in x.terms.items():
+        for cw2, c2 in y.terms.items():
+            if cw1.slot == algebra.word_degree(cw2.word, x.labeling) * cw2.slot:
+                product = AlgebraElement(x.ctx, {cw1.word: c1}) * AlgebraElement(x.ctx, {cw2.word: c2})
+                terms = {CrossedWord(w, cw2.slot): c for w, c in product.terms.items()}
+                out = out + CrossedElement(x.ctx, x.labeling, terms)
+    return out
+
+
+def reference_star(x: CrossedElement) -> CrossedElement:
+    out = CrossedElement(x.ctx, x.labeling, {})
+    for cw, c in x.terms.items():
+        slot = algebra.word_degree(cw.word, x.labeling) * cw.slot
+        starred = AlgebraElement(x.ctx, {cw.word: c}).star().terms
+        out = out + CrossedElement(x.ctx, x.labeling, {CrossedWord(w, slot): sc for w, sc in starred.items()})
+    return out
+
+
+def reference_psi(gens, x: CrossedElement, sctx: SkewContext) -> AlgebraElement:
+    images = []
+    for cw, coeff in x.terms.items():
+        value = gens.vertex_image[cw.word.vertex] if cw.word.is_vertex else None
+        for s in cw.word.steps:
+            factor = gens.edge_image[s.edge].star() if s.star else gens.edge_image[s.edge]
+            value = factor if value is None else value * factor
+        images.append((value * gens.chi_image[cw.slot]).scale(coeff))
+    return sum_of(sctx, images)
+
+
+def test_owned_results_match_the_public_constructors():
+    labeling, base_ctx, skew, sctx = four_z3_off_default()
+    gens = psi_on_generators(sctx)
+    # each image is the sum of its generators, built one by one
+    elements = Z3.elements()
+    for v in FOUR.vertices:
+        names = [skew.vertex_name[(v, g)] for g in elements]
+        assert gens.vertex_image[v] == sum_of(sctx, [vertex_element(sctx, name) for name in names])
+    for e in FOUR.edges:
+        names = [skew.edge_name[(e.id, g)] for g in elements]
+        assert gens.edge_image[e.id] == sum_of(sctx, [edge_element(sctx, name) for name in names])
+    for g in elements:
+        names = [skew.vertex_name[(v, g.inverse())] for v in FOUR.vertices]
+        assert gens.chi_image[g] == sum_of(sctx, [vertex_element(sctx, name) for name in names])
+    rng = random.Random(29)
+
+    def crossed_sum(count):
+        return sum_of(base_ctx, [
+            CrossedElement(base_ctx, labeling, {
+                CrossedWord(random_normal_word(rng, base_ctx, max_len=3), rng.choice(elements)):
+                random_coefficient(rng)
+            })
+            for _ in range(count)
+        ])
+
+    for _ in range(150):
+        x = sum_of(sctx, [
+            from_word(sctx, random_normal_word(rng, sctx, max_len=4), random_coefficient(rng))
+            for _ in range(rng.randint(1, 4))
+        ])
+        crossed = [crossed_sum(rng.randint(1, 4)) for _ in range(2)]
+        phi_x = phi_map(x)
+        reference = sum_of(base_ctx, [
+            CrossedElement(base_ctx, labeling, {phi_oracle(skew, w): c}) for w, c in x.terms.items()
+        ])
+        for result, expected in (
+            (phi_x, reference),
+            (crossed_mul(*crossed), reference_mul(*crossed)),
+            (crossed_star(crossed[0]), reference_star(crossed[0])),
+            (psi_apply(gens, crossed[0], sctx), reference_psi(gens, crossed[0], sctx)),
+        ):
+            assert all(result.terms.values()), result
+            assert result == expected
+        assert psi_apply(gens, phi_x, sctx) == x
+
+
+def test_crossed_mul_of_cancelling_term_pairs_is_empty():
+    # (a, 1)(a, 0) = (a a, 0) and (a a, 0)(@v, 0) = (a a, 0) cancel; the two
+    # other pairs fail the slot condition
+    group, labeling, ctx, _ = loop_setup(3)
+    a, aa = NormalWord.of_steps((SignedEdge("a"),)), NormalWord.of_steps((SignedEdge("a"),) * 2)
+    zero, one = group.element(0), group.element(1)
+    x = crossed_element(ctx, labeling, a, one) - crossed_element(ctx, labeling, aa, zero)
+    right = [crossed_element(ctx, labeling, a, zero), vert(ctx, "v", zero, labeling)]
+    assert all(not crossed_mul(x, r).is_zero for r in right)
+    assert crossed_mul(x, right[0] + right[1]).terms == {}
 
 
 # -- slot translation ---------------------------------------------------------------------
@@ -497,6 +673,20 @@ def test_verify_iso_rejects_a_negative_sample_count():
     with pytest.raises(ValueError, match="at least 0"):
         verify_iso(LOOP, labeling, sample_count=-1)
     assert verify_iso(LOOP, labeling, sample_count=0).sample_checks == 0
+
+
+def test_no_samples_build_no_translation_morphisms(monkeypatch):
+    def refuse(self):
+        raise AssertionError("morphisms called")
+
+    monkeypatch.setattr(GraphAction, "morphisms", refuse)
+    z6 = CyclicGroup(6)
+    labels = {"al1": 1, "al2": 0, "be1": 1, "be2": 5}
+    labeling = Labeling(z6, {eid: z6.element(k) for eid, k in labels.items()})
+    report = verify_iso(FIG5, labeling, sample_count=0, seed=1)
+    assert report.ok and (report.generator_checks, report.sample_checks) == (48, 0)
+    with pytest.raises(AssertionError, match="morphisms called"):
+        verify_iso(FIG5, labeling, sample_count=1, seed=1)
 
 
 def test_verify_iso_loop_z2():
