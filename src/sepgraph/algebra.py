@@ -276,7 +276,7 @@ def accumulate(acc: dict, pairs) -> dict:
     return acc
 
 
-def sum_of(ctx: LeavittContext, elements) -> "LinearCombination":
+def sum_of(ctx, elements) -> "LinearCombination":
     """The sum of elements of one type over ``ctx`` in one pass, linear in the
     terms read; a summand ``+`` would reject raises :class:`AlgebraError`, and
     an empty sum is the zero of L(E,C)."""
@@ -284,36 +284,37 @@ def sum_of(ctx: LeavittContext, elements) -> "LinearCombination":
     empty = None  # the zero of the summands' type over ctx
     for x in elements:
         if empty is None:
-            empty = x._like(ctx, {})
+            empty = type(x)(ctx, {})
         empty._require_same_context(x)
         accumulate(acc, x.terms.items())
-    return AlgebraElement(ctx, acc) if empty is None else empty._like(ctx, acc)
+    return AlgebraElement(ctx, acc) if empty is None else type(empty)(ctx, acc)
 
 
 class LinearCombination:
     """A finite Q(i)-linear combination of basis keys over one context; zero
-    coefficients are dropped on construction.  A subclass adds ``_like(ctx,
-    terms)``, a combination of its type over ``ctx``, and its context rule
-    ``_context_mismatch(other)``: why ``other`` is not over the same context,
-    or None.  ``==``, ``+``, :func:`sum_of` and the products all apply it."""
+    coefficients are dropped on construction.  ``==``, ``+``, :func:`sum_of` and
+    the products apply one context rule: two combinations meet iff they have one
+    type and ``ctx.same_context`` holds for their contexts."""
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: LeavittContext, terms: dict):
+    def __init__(self, ctx, terms: dict):
         self.ctx = ctx
         self.terms = {w: c for w, c in terms.items() if c}
 
+    def _same_context(self, other) -> bool:
+        return type(other) is type(self) and self.ctx.same_context(other.ctx)
+
     def _require_same_context(self, other) -> None:
-        reason = self._context_mismatch(other)
-        if reason is not None:
-            raise AlgebraError(reason)
+        if not self._same_context(other):
+            raise AlgebraError("elements live over different contexts")
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        return self._context_mismatch(other) is None and self.terms == other.terms
+        return self._same_context(other) and self.terms == other.terms
 
     def __add__(self, other):
         return sum_of(self.ctx, (self, other))
@@ -322,12 +323,12 @@ class LinearCombination:
         return self + (-other)
 
     def __neg__(self):
-        return self._like(self.ctx, {w: -c for w, c in self.terms.items()})
+        return type(self)(self.ctx, {w: -c for w, c in self.terms.items()})
 
     def scale(self, factor):
         if isinstance(factor, (int, Fraction)):
             factor = GaussianRational.of(factor)
-        return self._like(self.ctx, {w: c * factor for w, c in self.terms.items()})
+        return type(self)(self.ctx, {w: c * factor for w, c in self.terms.items()})
 
     def __repr__(self) -> str:
         return f"<{element_literal(self)}>"
@@ -337,13 +338,6 @@ class AlgebraElement(LinearCombination):
     """A finite linear combination of normal words with Q(i) coefficients."""
 
     __slots__ = ()
-
-    def _context_mismatch(self, other) -> Optional[str]:
-        same = isinstance(other, AlgebraElement) and self.ctx.same_context(other.ctx)
-        return None if same else "elements live over different graph/choice contexts"
-
-    def _like(self, ctx: LeavittContext, terms: dict) -> "AlgebraElement":
-        return AlgebraElement(ctx, terms)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._require_same_context(other)
@@ -383,9 +377,9 @@ class AlgebraElement(LinearCombination):
         return _owned(self.ctx, {w.adjoint(): c.conjugate() for w, c in self.terms.items()})
 
 
-def _owned(ctx: LeavittContext, terms: dict, cls=AlgebraElement) -> LinearCombination:
+def _owned(ctx, terms: dict, cls=AlgebraElement) -> LinearCombination:
     """A ``cls`` over ``terms`` as it is, without the constructor's copy and filter: the
-    caller hands over a dict of its own that holds no zero, and sets any slot ``cls`` adds."""
+    caller hands over a dict of its own that holds no zero."""
     x = object.__new__(cls)
     x.ctx, x.terms = ctx, terms
     return x
@@ -419,17 +413,11 @@ def rebase(x: AlgebraElement, ctx: LeavittContext) -> AlgebraElement:
 # -- gradings ------------------------------------------------------------------
 
 
-def word_degree(word: NormalWord, labeling: Labeling) -> GroupElement:
-    """The label of a basis word; vertex projections sit in the unit fiber."""
-    if word.is_vertex:
-        return labeling.group.identity()
-    return labeling.of_word(word.steps)
-
-
 def component(x: AlgebraElement, g: GroupElement, labeling: Labeling) -> AlgebraElement:
-    """The spectral projection onto the degree-``g`` part."""
+    """The spectral projection onto the degree-``g`` part; a vertex word, with
+    no steps, sits in the unit fiber."""
     return AlgebraElement(
-        x.ctx, {w: c for w, c in x.terms.items() if word_degree(w, labeling) == g}
+        x.ctx, {w: c for w, c in x.terms.items() if labeling.of_word(w.steps) == g}
     )
 
 
@@ -437,7 +425,7 @@ def decompose(x: AlgebraElement, labeling: Labeling) -> dict:
     """Partition an element into its homogeneous components (zero parts absent)."""
     parts = {}
     for w, c in x.terms.items():
-        g = word_degree(w, labeling)
+        g = labeling.of_word(w.steps)
         parts.setdefault(g, {})[w] = c
     return {g: AlgebraElement(x.ctx, terms) for g, terms in parts.items()}
 

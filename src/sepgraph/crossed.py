@@ -19,7 +19,7 @@ The group slot sums inverting the map need a finite group, and only then.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from . import scalars
 from .algebra import (
@@ -34,7 +34,6 @@ from .algebra import (
     from_word,
     induced_automorphism,
     vertex_element,
-    word_degree,
 )
 from .graphs import GraphError, SignedEdge, SkewProduct, skew_product
 from .groups import GroupElement, Labeling, translation_action
@@ -54,64 +53,50 @@ class CrossedWord(NamedTuple):
         return f"({self.word.literal()} ; {self.slot})"
 
 
+class CrossedContext(NamedTuple):
+    """The context of a crossed element: the base context and the labeling whose
+    coaction the crossed product crosses by."""
+
+    base: LeavittContext
+    labeling: Labeling
+
+    def same_context(self, other: "CrossedContext") -> bool:
+        # labelings compare as tuples: the groups first, then by_edge
+        return self is other or (self.base.same_context(other.base) and self.labeling == other.labeling)
+
+
 class CrossedElement(LinearCombination):
-    """A finite linear combination of crossed words over one base context."""
+    """A finite linear combination of crossed words over a :class:`CrossedContext`."""
 
-    __slots__ = ("labeling",)
-
-    def __init__(self, ctx: LeavittContext, labeling: Labeling, terms: dict):
-        super().__init__(ctx, terms)
-        self.labeling = labeling
-
-    def _context_mismatch(self, other) -> Optional[str]:
-        if not (
-            isinstance(other, CrossedElement)
-            and self.ctx.same_context(other.ctx)
-            and self.labeling.group == other.labeling.group
-        ):
-            return "crossed elements live over different contexts"
-        if self.labeling is not other.labeling and self.labeling.by_edge != other.labeling.by_edge:
-            return "crossed elements carry different labelings"
-        return None
-
-    def _like(self, ctx: LeavittContext, terms: dict) -> "CrossedElement":
-        return CrossedElement(ctx, self.labeling, terms)
-
-
-def _owned_crossed(ctx: LeavittContext, labeling: Labeling, terms: dict) -> CrossedElement:
-    """:func:`algebra._owned` for a crossed element: ``terms`` holds no zero."""
-    x = _owned(ctx, terms, CrossedElement)
-    x.labeling = labeling
-    return x
+    __slots__ = ()
 
 
 def crossed_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     """The covariance product, bilinear over crossed words."""
     x._require_same_context(y)
-    ctx = x.ctx
-    labeling = x.labeling
+    base, labeling = x.ctx
     by_slot = {}  # deg(b') h' -> the right terms (b', h') with it, as (h', b' as an element)
     for cw2, c2 in y.terms.items():
-        shifted = word_degree(cw2.word, labeling) * cw2.slot
-        by_slot.setdefault(shifted, []).append((cw2.slot, _owned(ctx, {cw2.word: c2})))
+        shifted = labeling.of_word(cw2.word.steps) * cw2.slot
+        by_slot.setdefault(shifted, []).append((cw2.slot, _owned(base, {cw2.word: c2})))
     acc = {}
     for cw1, c1 in x.terms.items():
-        left = _owned(ctx, {cw1.word: c1})
+        left = _owned(base, {cw1.word: c1})
         for slot, right in by_slot.get(cw1.slot, ()):
             # crossed words hold normal words, so they multiply as they are
             accumulate(acc, ((CrossedWord(w, slot), c) for w, c in (left * right).terms.items()))
-    return _owned_crossed(ctx, labeling, acc)
+    return _owned(x.ctx, acc, CrossedElement)
 
 
 def crossed_star(x: CrossedElement) -> CrossedElement:
     """The conjugate-linear involution (b, h) -> (b*, deg(b) h).  The adjoint is a
     bijection of normal words, so no two terms meet."""
-    labeling = x.labeling
+    labeling = x.ctx.labeling
     out = {
-        CrossedWord(cw.word.adjoint(), word_degree(cw.word, labeling) * cw.slot): c.conjugate()
+        CrossedWord(cw.word.adjoint(), labeling.of_word(cw.word.steps) * cw.slot): c.conjugate()
         for cw, c in x.terms.items()
     }
-    return _owned_crossed(x.ctx, labeling, out)
+    return _owned(x.ctx, out, CrossedElement)
 
 
 # -- the skew-product isomorphism on basis elements ------------------------------
@@ -121,10 +106,10 @@ class SkewContext(LeavittContext):
     """A context over a skew product whose choice is the fiber copy of a base
     context's: the chosen edge of the cell X x {g} is (e_X, g).  It is the one
     context :func:`phi_map` accepts, and it carries the skew product, the base
-    context and the map's two tables: each skew letter's base letter, and each
-    skew vertex (v, g)'s image (v, g^-1)."""
+    context, the :class:`CrossedContext` of φ's images and the map's two tables:
+    each skew letter's base letter, and each skew vertex (v, g)'s image (v, g^-1)."""
 
-    __slots__ = ("skew", "base", "_letter", "_end")
+    __slots__ = ("skew", "base", "crossed", "_letter", "_end")
 
     def __init__(self, skew: SkewProduct, base: LeavittContext):
         if base.graph != skew.base:
@@ -138,6 +123,7 @@ class SkewContext(LeavittContext):
             letter[SignedEdge(name)], letter[SignedEdge(name, True)] = SignedEdge(e), SignedEdge(e, True)
         super().__init__(skew.graph, choice)
         self.skew, self.base, self._letter, self._end = skew, base, letter, end
+        self.crossed = CrossedContext(base, skew.labeling)
 
 
 def phi_map(x: AlgebraElement) -> CrossedElement:
@@ -159,7 +145,7 @@ def phi_map(x: AlgebraElement) -> CrossedElement:
         else:
             slot = end[table[w.steps[-1]][1]].slot
             terms[CrossedWord(NormalWord(None, tuple(map(letter.__getitem__, w.steps))), slot)] = c
-    return _owned_crossed(ctx.base, ctx.skew.labeling, terms)
+    return _owned(ctx.crossed, terms, CrossedElement)
 
 
 def skew_path(skew: SkewProduct, word: NormalWord, g: GroupElement) -> NormalWord:
@@ -187,7 +173,7 @@ def skew_path(skew: SkewProduct, word: NormalWord, g: GroupElement) -> NormalWor
 def phi_inverse_word(cw: CrossedWord, skew: SkewProduct) -> NormalWord:
     """The unique skew-product basis word mapping to a crossed word (b, h): the
     lift of b that starts in the fiber (deg(b) h)^-1."""
-    g = word_degree(cw.word, skew.labeling) * cw.slot
+    g = skew.labeling.of_word(cw.word.steps) * cw.slot
     return skew_path(skew, cw.word, g.inverse())
 
 
@@ -245,7 +231,7 @@ def psi_apply(gens: PsiGenerators, x: CrossedElement, skew_ctx: LeavittContext) 
 def slot_translate(x: CrossedElement, z: GroupElement) -> CrossedElement:
     """The dual translation on slots, (b, h) -> (b, h z^-1)."""
     zinv = z.inverse()
-    return x._like(x.ctx, {CrossedWord(cw.word, cw.slot * zinv): c for cw, c in x.terms.items()})
+    return CrossedElement(x.ctx, {CrossedWord(cw.word, cw.slot * zinv): c for cw, c in x.terms.items()})
 
 
 # -- verification -----------------------------------------------------------------

@@ -25,7 +25,6 @@ from .algebra import (
     reduce_word,
     rebase,
     vertex_element,
-    word_degree,
     sum_of,
 )
 from .expectation import beta_element, cell_subgraph, expect, n_mu, phi_ordinary
@@ -313,7 +312,7 @@ def criterion_7(rng) -> str:
                     g, h = degrees[0], degrees[1]
                     product = parts[g] * parts[h]
                     for word in product.terms:
-                        assert word_degree(word, labeling) == g * h, "degrees not additive"
+                        assert labeling.of_word(word.steps) == g * h, "degrees not additive"
                 samples += 1
     return f"{samples} samples passed the grading identities"
 

@@ -15,6 +15,7 @@ from sepgraph.algebra import (
     vertex_element,
 )
 from sepgraph.crossed import (
+    CrossedContext,
     CrossedElement,
     CrossedWord,
     SkewContext,
@@ -31,8 +32,10 @@ from sepgraph.graphs import SeparatedGraph, SignedEdge, skew_product
 from sepgraph.groups import (
     CyclicGroup,
     GraphAction,
+    Group,
     GroupElement,
     GroupError,
+    IntegerGroup,
     Labeling,
     ProductGroup,
     bouquet_graph,
@@ -60,7 +63,7 @@ FIG5 = SeparatedGraph(
 def crossed_element(
     ctx: LeavittContext, labeling: Labeling, word: NormalWord, slot: GroupElement
 ) -> CrossedElement:
-    return CrossedElement(ctx, labeling, {CrossedWord(word, slot): scalars.ONE})
+    return CrossedElement(CrossedContext(ctx, labeling), {CrossedWord(word, slot): scalars.ONE})
 
 
 def loop_setup(n=2):
@@ -134,8 +137,8 @@ def test_adding_crossed_elements_with_different_labelings_is_rejected():
     other = Labeling(group, {"a": group.element(0)})
     x = vert(ctx, "v", group.element(0), labeling)
     y = vert(ctx, "v", group.element(0), other)
-    assert x + x == CrossedElement(ctx, labeling, {cw: 2 * c for cw, c in x.terms.items()})
-    with pytest.raises(AlgebraError, match="different labelings"):
+    assert x + x == CrossedElement(x.ctx, {cw: 2 * c for cw, c in x.terms.items()})
+    with pytest.raises(AlgebraError, match="different contexts"):
         x + y
 
 
@@ -190,7 +193,7 @@ def test_eq_add_sum_and_products_accept_the_same_pairs(kind, variant, accepted):
     ctx, labeling, other_ctx, other_labeling = _other_side(variant)
     word = NormalWord.of_steps((SignedEdge("x1"),))
     x = crossed_element(ctx, labeling, word, Z2.element(1))
-    y = CrossedElement(other_ctx, other_labeling, dict(x.terms))  # the same terms
+    y = CrossedElement(CrossedContext(other_ctx, other_labeling), dict(x.terms))  # the same terms
     if kind != "crossed":
         x = edge_element(ctx, "x1")
         if kind == "algebra":
@@ -218,6 +221,27 @@ def test_crossed_elements_share_the_linear_operations():
     assert x.scale(2) == x + x
     assert repr(y + x) == "<1 * (a ; 1) + 1 * (a ; 2)>"
     assert repr(x - x) == "<0>"
+
+
+def test_crossed_elements_over_an_infinite_group_never_enumerate_it(monkeypatch):
+    # only psi's slot sums need a finite group: products, the involution, sums
+    # and equality read the slots term by term
+    def refuse(self):
+        raise AssertionError("elements called")
+
+    monkeypatch.setattr(Group, "elements", refuse)
+    group = IntegerGroup()
+    labeling = Labeling(group, {"a": group.element(1)})
+    ctx = LeavittContext(LOOP)
+    a, aa = NormalWord.of_steps((SignedEdge("a"),)), NormalWord.of_steps((SignedEdge("a"),) * 2)
+    x = crossed_element(ctx, labeling, a, group.element(5))
+    y = crossed_element(ctx, labeling, a, group.element(4))
+    # x.y needs slot(x) == deg(a) + slot(y) = 1 + 4; y.x would need 4 == 1 + 5
+    assert crossed_mul(x, y) == crossed_element(ctx, labeling, aa, group.element(4))
+    assert crossed_mul(y, x).is_zero
+    assert crossed_star(x) == crossed_element(ctx, labeling, a.adjoint(), group.element(6))
+    assert crossed_star(crossed_star(x)) == x
+    assert (x + y) - y == x and x + y != x
 
 
 def test_crossed_words_are_values():
@@ -480,8 +504,6 @@ def test_psi_slot_indicators_are_orthogonal():
 
 
 def test_psi_needs_a_finite_group():
-    from sepgraph.groups import IntegerGroup
-
     group = IntegerGroup()
     labeling = Labeling(group, {"a": group.element(1)})
     with pytest.raises(GroupError, match="finite"):
@@ -525,22 +547,24 @@ def random_coefficient(rng):
 
 def reference_mul(x: CrossedElement, y: CrossedElement) -> CrossedElement:
     """The covariance product term pair by term pair, through the public constructors."""
-    out = CrossedElement(x.ctx, x.labeling, {})
+    base, labeling = x.ctx
+    out = CrossedElement(x.ctx, {})
     for cw1, c1 in x.terms.items():
         for cw2, c2 in y.terms.items():
-            if cw1.slot == algebra.word_degree(cw2.word, x.labeling) * cw2.slot:
-                product = AlgebraElement(x.ctx, {cw1.word: c1}) * AlgebraElement(x.ctx, {cw2.word: c2})
+            if cw1.slot == labeling.of_word(cw2.word.steps) * cw2.slot:
+                product = AlgebraElement(base, {cw1.word: c1}) * AlgebraElement(base, {cw2.word: c2})
                 terms = {CrossedWord(w, cw2.slot): c for w, c in product.terms.items()}
-                out = out + CrossedElement(x.ctx, x.labeling, terms)
+                out = out + CrossedElement(x.ctx, terms)
     return out
 
 
 def reference_star(x: CrossedElement) -> CrossedElement:
-    out = CrossedElement(x.ctx, x.labeling, {})
+    base, labeling = x.ctx
+    out = CrossedElement(x.ctx, {})
     for cw, c in x.terms.items():
-        slot = algebra.word_degree(cw.word, x.labeling) * cw.slot
-        starred = AlgebraElement(x.ctx, {cw.word: c}).star().terms
-        out = out + CrossedElement(x.ctx, x.labeling, {CrossedWord(w, slot): sc for w, sc in starred.items()})
+        slot = labeling.of_word(cw.word.steps) * cw.slot
+        starred = AlgebraElement(base, {cw.word: c}).star().terms
+        out = out + CrossedElement(x.ctx, {CrossedWord(w, slot): sc for w, sc in starred.items()})
     return out
 
 
@@ -570,10 +594,13 @@ def test_owned_results_match_the_public_constructors():
         names = [skew.vertex_name[(v, g.inverse())] for v in FOUR.vertices]
         assert gens.chi_image[g] == sum_of(sctx, [vertex_element(sctx, name) for name in names])
     rng = random.Random(29)
+    # equal to phi's context sctx.crossed, but a distinct object
+    crossed_ctx = CrossedContext(base_ctx, labeling)
+    assert crossed_ctx is not sctx.crossed
 
     def crossed_sum(count):
-        return sum_of(base_ctx, [
-            CrossedElement(base_ctx, labeling, {
+        return sum_of(crossed_ctx, [
+            CrossedElement(crossed_ctx, {
                 CrossedWord(random_normal_word(rng, base_ctx, max_len=3), rng.choice(elements)):
                 random_coefficient(rng)
             })
@@ -587,8 +614,8 @@ def test_owned_results_match_the_public_constructors():
         ])
         crossed = [crossed_sum(rng.randint(1, 4)) for _ in range(2)]
         phi_x = phi_map(x)
-        reference = sum_of(base_ctx, [
-            CrossedElement(base_ctx, labeling, {phi_oracle(skew, w): c}) for w, c in x.terms.items()
+        reference = sum_of(crossed_ctx, [
+            CrossedElement(crossed_ctx, {phi_oracle(skew, w): c}) for w, c in x.terms.items()
         ])
         for result, expected in (
             (phi_x, reference),
@@ -641,7 +668,6 @@ def test_phi_pushes_the_free_label_forward():
     ctx = LeavittContext(FOUR)
     skew = skew_product(FOUR, labeling)
     sctx = SkewContext(skew, ctx)
-    from sepgraph.algebra import word_degree
     from sepgraph.groups import free_labeling
 
     skew_free = free_labeling(skew.graph)
@@ -651,11 +677,11 @@ def test_phi_pushes_the_free_label_forward():
         word = random_normal_word(rng, sctx, max_len=4)
         image = phi_map(from_word(sctx, word))
         (crossed_word,) = image.terms
-        lifted = word_degree(word, skew_free)
+        lifted = skew_free.of_word(word.steps)
         projected = base_free.group.element(
             [(skew.edge_pair[gen][0], sign) for gen, sign in lifted.value]
         )
-        assert projected == word_degree(crossed_word.word, base_free)
+        assert projected == base_free.of_word(crossed_word.word.steps)
 
 
 # -- full verification ----------------------------------------------------------------------

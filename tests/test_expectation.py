@@ -14,7 +14,6 @@ from sepgraph.algebra import (
     parse_element,
     reduce_word,
     vertex_element,
-    word_degree,
 )
 from sepgraph.expectation import (
     _n_value,
@@ -335,7 +334,7 @@ def test_expectation_vanishes_off_the_unit_fiber():
             unit = labeling.group.identity()
             total = expect(component(x, unit, labeling))
             for word in x.terms:
-                g = word_degree(word, labeling)
+                g = labeling.of_word(word.steps)
                 if not g.is_identity:
                     assert expect(component(x, g, labeling)).is_zero
             assert expect(x) == total
